@@ -107,9 +107,7 @@ int main(int argc, char** argv) {
       NestedLoopJoinOp join(std::move(left), std::move(right),
                             Cmp(Col("id"), CompareOp::kEq, Col("id")));
       size_t differing = 0;
-      (void)join.Open();
-      Row row;
-      while (join.Next(&row).ValueOrDie()) {
+      for (const Row& row : CollectRows(&join).ValueOrDie()) {
         const int64_t joined_id = row.data.at(0).AsInt();
         SummarySet v1 =
             mgr->GetSummaries(static_cast<Oid>(joined_id)).ValueOrDie();
@@ -123,7 +121,6 @@ int main(int argc, char** argv) {
         };
         if (count(v1) != count(v2)) ++differing;
       }
-      join.Close();
     });
     const double plus_ms = MedianMillis(config.query_repeats, [&] {
       db.Execute(

@@ -54,6 +54,14 @@ if [ -x build/bench/bench_batch_executor ]; then
     > /dev/null)
 fi
 
+# Case-study smoke: the Fig. 16 queries (Q2 joins two Birds versions)
+# end to end at 90 birds; any error in the join path aborts the bench.
+if [ -x build/bench/bench_fig16_case_study ]; then
+  echo "==> case-study smoke (bench_fig16_case_study)"
+  (cd build/bench && ./bench_fig16_case_study --scale=0.002 --repeats=1 \
+    > /dev/null)
+fi
+
 # Server smoke: boot insightd, run statements through insight_cli over
 # the wire, scrape the Metrics frame, and require a clean drain exit.
 if [ -x build/src/net/insightd ]; then

@@ -56,13 +56,13 @@ const char* EstimateSourceName(EstimateSource source);
 /// paper's summary-based operators (S, F, J, O) share this interface and
 /// mix freely in one plan (Section 3.2).
 ///
-/// Execution is batch-at-a-time: drivers call NextBatch(), which times
-/// the call, maintains the runtime counters, and delegates to the
-/// virtual NextBatchImpl(). Operators not yet ported inherit the default
-/// NextBatchImpl(), which drains the row-at-a-time Next() — so legacy
-/// operators keep working inside batch plans, and row-at-a-time drivers
-/// keep working against ported operators (every operator retains its
-/// Next() implementation).
+/// One pull protocol: rows leave an operator only through NextBatch(),
+/// which times the call, maintains the runtime counters, and delegates to
+/// the pure-virtual NextBatchImpl(). Operators that walk a child's rows
+/// one at a time read them through ChildInput; build sides that
+/// materialize a child drain it with CollectRows(). The columnar spine
+/// (NextColumnBatch) is the only other path, chosen per pipeline from
+/// ColumnarCapable().
 class PhysicalOperator {
  public:
   virtual ~PhysicalOperator() = default;
@@ -72,20 +72,18 @@ class PhysicalOperator {
   /// pipeline breaker does up front (draining and materializing its
   /// input) is visible to EXPLAIN ANALYZE instead of vanishing.
   Status Open();
-  /// Produces the next row; false at end of stream.
-  virtual Result<bool> Next(Row* row) = 0;
   virtual void Close() {}
 
   /// Clears `batch` and refills it with up to batch->capacity() rows;
   /// false once the stream is exhausted (the batch comes back empty).
-  /// Tags the batch with this operator's output schema. Do not interleave
-  /// NextBatch() and Next() calls on one operator within one execution.
+  /// Tags the batch with this operator's output schema.
   Result<bool> NextBatch(RowBatch* batch);
 
   /// Column-major sibling of NextBatch(): rebinds `batch` to this
   /// operator's schema and refills it. Works on every operator (the
   /// default pivots the row batch), but only pays off where
-  /// ColumnarCapable() holds. Same no-interleaving rule as NextBatch().
+  /// ColumnarCapable() holds. Do not interleave NextBatch() and
+  /// NextColumnBatch() calls on one operator within one execution.
   Result<bool> NextColumnBatch(ColumnBatch* batch);
 
   /// True when this operator produces column batches natively (without
@@ -125,7 +123,6 @@ class PhysicalOperator {
     return exec_ctx_ != nullptr ? exec_ctx_->snapshot() : Snapshot::Latest();
   }
 
-  uint64_t rows_produced() const { return rows_produced_; }
   const OperatorStats& stats() const { return stats_; }
 
   /// Plan-time cardinality estimate, stamped onto the operator by the
@@ -153,21 +150,15 @@ class PhysicalOperator {
   /// Open().
   virtual Status OpenImpl() = 0;
   /// Batch production; `batch` arrives cleared. Implementations append
-  /// rows until full() or end-of-stream and return !batch->empty(); they
-  /// maintain rows_produced_ exactly like Next() does. The default
-  /// adapter loops the row-at-a-time Next().
-  virtual Result<bool> NextBatchImpl(RowBatch* batch);
+  /// rows until full() or end-of-stream and return !batch->empty().
+  virtual Result<bool> NextBatchImpl(RowBatch* batch) = 0;
   /// Columnar production; `batch` arrives reset to this operator's
   /// schema. The default adapter pivots one row batch in.
   virtual Result<bool> NextColumnBatchImpl(ColumnBatch* batch);
 
   /// Resets the per-execution counters; every Open() calls this first.
-  void ResetExec() {
-    rows_produced_ = 0;
-    stats_ = OperatorStats{};
-  }
+  void ResetExec() { stats_ = OperatorStats{}; }
 
-  uint64_t rows_produced_ = 0;
   OperatorStats stats_;
   ExecutionContext* exec_ctx_ = nullptr;
   double est_rows_ = -1;
@@ -180,6 +171,28 @@ using OpPtr = std::unique_ptr<PhysicalOperator>;
 /// Runs a plan to completion, collecting all rows.
 Result<std::vector<Row>> CollectRows(PhysicalOperator* root);
 
+/// Row-by-row reader over a child's batch stream, for operators that walk
+/// their input one row at a time (the outer side of every join). Pulls
+/// through the child's NextBatch(), so the child's counters stay exact.
+class ChildInput {
+ public:
+  explicit ChildInput(PhysicalOperator* child) : child_(child) {}
+
+  /// Drops buffered rows; OpenImpl calls this before each execution.
+  void Reset() {
+    batch_.Clear();
+    pos_ = 0;
+  }
+
+  /// Moves the child's next row into `row`; false at end of stream.
+  Result<bool> NextRow(Row* row);
+
+ private:
+  PhysicalOperator* child_;
+  RowBatch batch_;
+  size_t pos_ = 0;
+};
+
 // ---------- Scans ----------
 
 /// Full heap scan of a user relation; propagates summary objects when a
@@ -191,7 +204,6 @@ class SeqScanOp : public PhysicalOperator {
   SeqScanOp(ExecutionContext* ctx, Table* table, bool propagate);
 
   Status OpenImpl() override;
-  Result<bool> Next(Row* row) override;
   const Schema& schema() const override { return table_->schema(); }
   std::string Describe() const override;
   bool ColumnarCapable() const override { return true; }
@@ -229,7 +241,6 @@ class IndexScanOp : public PhysicalOperator {
               bool propagate);
 
   Status OpenImpl() override;
-  Result<bool> Next(Row* row) override;
   const Schema& schema() const override { return table_->schema(); }
   std::string Describe() const override;
 
@@ -271,7 +282,6 @@ class SummaryIndexScanOp : public PhysicalOperator {
                      bool propagate);
 
   Status OpenImpl() override;
-  Result<bool> Next(Row* row) override;
   const Schema& schema() const override;
   std::string Describe() const override;
 
@@ -298,9 +308,11 @@ class BaselineIndexScanOp : public PhysicalOperator {
                       bool propagate, bool reconstruct_summaries);
 
   Status OpenImpl() override;
-  Result<bool> Next(Row* row) override;
   const Schema& schema() const override;
   std::string Describe() const override;
+
+ protected:
+  Result<bool> NextBatchImpl(RowBatch* batch) override;
 
  private:
   const BaselineClassifierIndex* index_;
@@ -327,7 +339,6 @@ class KeywordIndexScanOp : public PhysicalOperator {
                      const std::string& table, bool propagate);
 
   Status OpenImpl() override;
-  Result<bool> Next(Row* row) override;
   const Schema& schema() const override;
   std::string Describe() const override;
 
@@ -354,21 +365,12 @@ class VectorSourceOp : public PhysicalOperator {
     pos_ = 0;
     return Status::OK();
   }
-  Result<bool> Next(Row* row) override {
-    if (pos_ >= rows_.size()) return false;
-    *row = rows_[pos_++];
-    ++rows_produced_;
-    return true;
-  }
   const Schema& schema() const override { return schema_; }
   std::string Describe() const override;
 
  protected:
   Result<bool> NextBatchImpl(RowBatch* batch) override {
-    while (!batch->full() && pos_ < rows_.size()) {
-      batch->Push(rows_[pos_++]);
-      ++rows_produced_;
-    }
+    while (!batch->full() && pos_ < rows_.size()) batch->Push(rows_[pos_++]);
     return !batch->empty();
   }
 
@@ -387,7 +389,6 @@ class SelectOp : public PhysicalOperator {
   SelectOp(OpPtr child, ExprPtr predicate);
 
   Status OpenImpl() override;
-  Result<bool> Next(Row* row) override;
   void Close() override { child_->Close(); }
   const Schema& schema() const override { return child_->schema(); }
   std::string Describe() const override;
@@ -401,10 +402,6 @@ class SelectOp : public PhysicalOperator {
   Result<bool> NextColumnBatchImpl(ColumnBatch* batch) override;
 
  private:
-  /// Columnar filter core: one (possibly short) filtered child batch per
-  /// call. Does not touch rows_produced_ — both callers do.
-  Result<bool> FilterColumnar(ColumnBatch* batch);
-
   OpPtr child_;
   ExprPtr predicate_;
   // Batch-path state: buffered child batch, its predicate flags, and the
@@ -426,7 +423,6 @@ class SummarySelectOp : public PhysicalOperator {
   SummarySelectOp(OpPtr child, ExprPtr predicate);
 
   Status OpenImpl() override;
-  Result<bool> Next(Row* row) override;
   void Close() override { child_->Close(); }
   const Schema& schema() const override { return child_->schema(); }
   std::string Describe() const override;
@@ -466,7 +462,6 @@ class SummaryFilterOp : public PhysicalOperator {
   SummaryFilterOp(OpPtr child, ObjectPredicate predicate);
 
   Status OpenImpl() override;
-  Result<bool> Next(Row* row) override;
   void Close() override { child_->Close(); }
   const Schema& schema() const override { return child_->schema(); }
   std::string Describe() const override;
@@ -493,7 +488,6 @@ class ProjectOp : public PhysicalOperator {
             AnnotationResolver resolver);
 
   Status OpenImpl() override;
-  Result<bool> Next(Row* row) override;
   void Close() override { child_->Close(); }
   const Schema& schema() const override { return schema_; }
   std::string Describe() const override;
@@ -525,7 +519,6 @@ class NestedLoopJoinOp : public PhysicalOperator {
   NestedLoopJoinOp(OpPtr left, OpPtr right, ExprPtr predicate);
 
   Status OpenImpl() override;
-  Result<bool> Next(Row* row) override;
   void Close() override;
   const Schema& schema() const override { return schema_; }
   std::string Describe() const override;
@@ -533,11 +526,15 @@ class NestedLoopJoinOp : public PhysicalOperator {
     return {left_.get(), right_.get()};
   }
 
+ protected:
+  Result<bool> NextBatchImpl(RowBatch* batch) override;
+
  private:
   OpPtr left_;
   OpPtr right_;
   ExprPtr predicate_;
   Schema schema_;
+  ChildInput left_input_;
   std::vector<Row> right_rows_;
   Row current_left_;
   bool left_valid_ = false;
@@ -554,13 +551,15 @@ class IndexNLJoinOp : public PhysicalOperator {
                 bool propagate_inner);
 
   Status OpenImpl() override;
-  Result<bool> Next(Row* row) override;
   void Close() override { outer_->Close(); }
   const Schema& schema() const override { return schema_; }
   std::string Describe() const override;
   std::vector<PhysicalOperator*> children() const override {
     return {outer_.get()};
   }
+
+ protected:
+  Result<bool> NextBatchImpl(RowBatch* batch) override;
 
  private:
   OpPtr outer_;
@@ -570,6 +569,10 @@ class IndexNLJoinOp : public PhysicalOperator {
   SummaryManager* inner_mgr_;
   bool propagate_inner_;
   Schema schema_;
+  // Bound once per execution in OpenImpl.
+  const BTree* index_ = nullptr;
+  size_t inner_pos_ = 0;
+  ChildInput outer_input_;
   Row current_outer_;
   bool outer_valid_ = false;
   std::vector<Oid> matches_;
@@ -588,7 +591,6 @@ class HashJoinOp : public PhysicalOperator {
              std::string right_key, ExprPtr residual);
 
   Status OpenImpl() override;
-  Result<bool> Next(Row* row) override;
   void Close() override;
   const Schema& schema() const override { return schema_; }
   std::string Describe() const override;
@@ -609,13 +611,11 @@ class HashJoinOp : public PhysicalOperator {
   size_t left_key_idx_ = 0;
   std::unordered_map<size_t, std::vector<Row>> table_;  // Hash -> rows.
   size_t right_key_idx_ = 0;
+  ChildInput left_input_;
   Row current_left_;
   bool left_valid_ = false;
   const std::vector<Row>* bucket_ = nullptr;
   size_t bucket_pos_ = 0;
-  // Batch-path probe-side state.
-  RowBatch probe_input_;
-  size_t probe_pos_ = 0;
 };
 
 /// Join predicate of the summary-based join J: either a comparison of a
@@ -654,24 +654,31 @@ class SummaryJoinOp : public PhysicalOperator {
                 std::string label, bool propagate_right);
 
   Status OpenImpl() override;
-  Result<bool> Next(Row* row) override;
   void Close() override;
   const Schema& schema() const override { return schema_; }
   std::string Describe() const override;
   std::vector<PhysicalOperator*> children() const override;
 
+ protected:
+  Result<bool> NextBatchImpl(RowBatch* batch) override;
+
  private:
-  Result<bool> NextNestedLoop(Row* row);
-  Result<bool> NextIndex(Row* row);
+  /// Fills `batch` from the current left row's remaining pairs; false
+  /// once that row is exhausted (the caller then advances the left side).
+  Result<bool> FillNestedLoop(RowBatch* batch);
+  Result<bool> FillIndex(RowBatch* batch);
+  /// Index strategy: probes the right Summary-BTree for current_left_.
+  Status ProbeIndex();
 
   OpPtr left_;
   OpPtr right_;  // Nested-loop strategy only.
   SummaryJoinPredicate predicate_;
   Schema schema_;
-  // Nested-loop state.
-  std::vector<Row> right_rows_;
+  ChildInput left_input_;
   Row current_left_;
   bool left_valid_ = false;
+  // Nested-loop state.
+  std::vector<Row> right_rows_;
   size_t right_pos_ = 0;
   // Index strategy state.
   Table* right_table_ = nullptr;
@@ -709,7 +716,6 @@ class SortOp : public PhysicalOperator {
          Mode mode, size_t memory_budget_bytes = 4 << 20);
 
   Status OpenImpl() override;
-  Result<bool> Next(Row* row) override;
   void Close() override { child_->Close(); }
   const Schema& schema() const override { return child_->schema(); }
   std::string Describe() const override;
@@ -766,7 +772,6 @@ class HashAggregateOp : public PhysicalOperator {
                   AnnotationResolver resolver);
 
   Status OpenImpl() override;
-  Result<bool> Next(Row* row) override;
   void Close() override { child_->Close(); }
   const Schema& schema() const override { return schema_; }
   std::string Describe() const override;
@@ -794,13 +799,15 @@ class DistinctOp : public PhysicalOperator {
   explicit DistinctOp(OpPtr child);
 
   Status OpenImpl() override;
-  Result<bool> Next(Row* row) override;
   void Close() override { child_->Close(); }
   const Schema& schema() const override { return child_->schema(); }
   std::string Describe() const override;
   std::vector<PhysicalOperator*> children() const override {
     return {child_.get()};
   }
+
+ protected:
+  Result<bool> NextBatchImpl(RowBatch* batch) override;
 
  private:
   OpPtr child_;
@@ -819,11 +826,6 @@ class RenameOp : public PhysicalOperator {
     ResetExec();
     return child_->Open();
   }
-  Result<bool> Next(Row* row) override {
-    INSIGHT_ASSIGN_OR_RETURN(bool has, child_->Next(row));
-    if (has) ++rows_produced_;
-    return has;
-  }
   void Close() override { child_->Close(); }
   const Schema& schema() const override { return schema_; }
   std::string Describe() const override { return "Rename(" + alias_ + ")"; }
@@ -833,9 +835,7 @@ class RenameOp : public PhysicalOperator {
 
  protected:
   Result<bool> NextBatchImpl(RowBatch* batch) override {
-    INSIGHT_ASSIGN_OR_RETURN(bool has, child_->NextBatch(batch));
-    rows_produced_ += batch->size();
-    return has;
+    return child_->NextBatch(batch);
   }
 
  private:
@@ -855,7 +855,6 @@ class LimitOp : public PhysicalOperator {
     emitted_ = 0;
     return child_->Open();
   }
-  Result<bool> Next(Row* row) override;
   void Close() override { child_->Close(); }
   const Schema& schema() const override { return child_->schema(); }
   std::string Describe() const override;

@@ -70,7 +70,6 @@ class ParallelScanOp : public PhysicalOperator {
                  std::shared_ptr<MorselSource> morsels);
 
   Status OpenImpl() override;
-  Result<bool> Next(Row* row) override;
   const Schema& schema() const override { return table_->schema(); }
   std::string Describe() const override;
   bool ColumnarCapable() const override { return true; }
@@ -104,7 +103,6 @@ class ExchangeOp : public PhysicalOperator {
   ExchangeOp(OpPtr child, size_t worker_id);
 
   Status OpenImpl() override;
-  Result<bool> Next(Row* row) override;
   void Close() override { child_->Close(); }
   const Schema& schema() const override { return child_->schema(); }
   std::string Describe() const override;
@@ -136,7 +134,6 @@ class GatherOp : public PhysicalOperator {
            std::shared_ptr<MorselSource> morsels);
 
   Status OpenImpl() override;
-  Result<bool> Next(Row* row) override;
   void Close() override;
   const Schema& schema() const override { return partitions_[0]->schema(); }
   std::string Describe() const override;

@@ -34,19 +34,6 @@ Result<bool> PhysicalOperator::NextBatch(RowBatch* batch) {
   return result;
 }
 
-Result<bool> PhysicalOperator::NextBatchImpl(RowBatch* batch) {
-  // Default adapter: drain the row-at-a-time interface. Next() maintains
-  // rows_produced_ itself.
-  Row row;
-  while (!batch->full()) {
-    INSIGHT_ASSIGN_OR_RETURN(bool has, Next(&row));
-    if (!has) break;
-    batch->Push(std::move(row));
-    row = Row();
-  }
-  return !batch->empty();
-}
-
 Result<bool> PhysicalOperator::NextColumnBatch(ColumnBatch* batch) {
   const auto start = std::chrono::steady_clock::now();
   batch->Reset(&schema(), batch_capacity());
@@ -150,6 +137,18 @@ Result<std::vector<Row>> CollectRows(PhysicalOperator* root) {
   return rows;
 }
 
+Result<bool> ChildInput::NextRow(Row* row) {
+  if (pos_ >= batch_.size()) {
+    const size_t capacity = child_->batch_capacity();
+    if (batch_.capacity() != capacity) batch_.set_capacity(capacity);
+    INSIGHT_ASSIGN_OR_RETURN(bool has, child_->NextBatch(&batch_));
+    pos_ = 0;
+    if (!has) return false;
+  }
+  *row = std::move(batch_[pos_++]);
+  return true;
+}
+
 // ---------- SeqScanOp ----------
 
 SeqScanOp::SeqScanOp(Table* table, SummaryManager* mgr, bool propagate)
@@ -170,21 +169,6 @@ Status SeqScanOp::OpenImpl() {
   return Status::OK();
 }
 
-Result<bool> SeqScanOp::Next(Row* row) {
-  Oid oid;
-  Tuple tuple;
-  if (!it_->Next(&oid, &tuple)) return false;
-  row->oid = oid;
-  row->data = std::move(tuple);
-  row->summaries = SummarySet();
-  if (propagate_) {
-    INSIGHT_ASSIGN_OR_RETURN(row->summaries,
-                             mgr_->GetSummaries(oid, snapshot()));
-  }
-  ++rows_produced_;
-  return true;
-}
-
 Result<bool> SeqScanOp::NextBatchImpl(RowBatch* batch) {
   while (!batch->full()) {
     Oid oid;
@@ -198,7 +182,6 @@ Result<bool> SeqScanOp::NextBatchImpl(RowBatch* batch) {
                                mgr_->GetSummaries(oid, snapshot()));
     }
     batch->Push(std::move(row));
-    ++rows_produced_;
   }
   return !batch->empty();
 }
@@ -216,7 +199,6 @@ Result<bool> SeqScanOp::NextColumnBatchImpl(ColumnBatch* batch) {
                                mgr_->GetSummaries(oid, snapshot()));
     }
     batch->AppendTuple(oid, tuple, std::move(summaries));
-    ++rows_produced_;
   }
   return !batch->empty();
 }
@@ -302,25 +284,6 @@ Result<bool> IndexScanOp::FetchVisible(Oid oid, Tuple* tuple) const {
   return true;
 }
 
-Result<bool> IndexScanOp::Next(Row* row) {
-  while (pos_ < oids_.size()) {
-    const Oid oid = oids_[pos_++];
-    Tuple tuple;
-    INSIGHT_ASSIGN_OR_RETURN(bool visible, FetchVisible(oid, &tuple));
-    if (!visible) continue;
-    row->data = std::move(tuple);
-    row->oid = oid;
-    row->summaries = SummarySet();
-    if (propagate_) {
-      INSIGHT_ASSIGN_OR_RETURN(row->summaries,
-                               mgr_->GetSummaries(oid, snapshot()));
-    }
-    ++rows_produced_;
-    return true;
-  }
-  return false;
-}
-
 Result<bool> IndexScanOp::NextBatchImpl(RowBatch* batch) {
   while (!batch->full() && pos_ < oids_.size()) {
     const Oid oid = oids_[pos_++];
@@ -335,7 +298,6 @@ Result<bool> IndexScanOp::NextBatchImpl(RowBatch* batch) {
                                mgr_->GetSummaries(oid, snapshot()));
     }
     batch->Push(std::move(row));
-    ++rows_produced_;
   }
   return !batch->empty();
 }
@@ -383,27 +345,6 @@ Status SummaryIndexScanOp::OpenImpl() {
   return Status::OK();
 }
 
-Result<bool> SummaryIndexScanOp::Next(Row* row) {
-  if (pos_ >= hits_.size()) return false;
-  const SummaryIndexHit& hit = hits_[pos_++];
-  Oid oid = kInvalidOid;
-  row->summaries = SummarySet();
-  if (propagate_) {
-    // Propagation reads the de-normalized storage — never re-constructs
-    // objects (Section 6). Conventional pointers reuse the storage row
-    // they resolve through.
-    INSIGHT_ASSIGN_OR_RETURN(
-        row->data, index_->FetchDataTupleWithSummaries(hit, &row->summaries,
-                                                       &oid, snapshot()));
-  } else {
-    INSIGHT_ASSIGN_OR_RETURN(row->data,
-                             index_->FetchDataTuple(hit, &oid, snapshot()));
-  }
-  row->oid = oid;
-  ++rows_produced_;
-  return true;
-}
-
 Result<bool> SummaryIndexScanOp::NextBatchImpl(RowBatch* batch) {
   while (!batch->full() && pos_ < hits_.size()) {
     const SummaryIndexHit& hit = hits_[pos_++];
@@ -419,7 +360,6 @@ Result<bool> SummaryIndexScanOp::NextBatchImpl(RowBatch* batch) {
     }
     row.oid = oid;
     batch->Push(std::move(row));
-    ++rows_produced_;
   }
   return !batch->empty();
 }
@@ -463,26 +403,27 @@ Status BaselineIndexScanOp::OpenImpl() {
   return Status::OK();
 }
 
-Result<bool> BaselineIndexScanOp::Next(Row* row) {
-  if (pos_ >= hits_.size()) return false;
-  const SummaryIndexHit& hit = hits_[pos_++];
-  Oid oid = kInvalidOid;
-  INSIGHT_ASSIGN_OR_RETURN(row->data, index_->FetchDataTuple(hit, &oid));
-  row->oid = oid;
-  row->summaries = SummarySet();
-  if (propagate_) {
-    if (reconstruct_summaries_) {
-      // Fig. 12 arm: re-form the object from its normalized primitives.
-      INSIGHT_ASSIGN_OR_RETURN(SummaryObject obj,
-                               index_->ReconstructObject(oid));
-      row->summaries = SummarySet({std::move(obj)});
-    } else {
-      INSIGHT_ASSIGN_OR_RETURN(row->summaries,
-                               mgr_->GetSummaries(oid, snapshot()));
+Result<bool> BaselineIndexScanOp::NextBatchImpl(RowBatch* batch) {
+  while (!batch->full() && pos_ < hits_.size()) {
+    const SummaryIndexHit& hit = hits_[pos_++];
+    Oid oid = kInvalidOid;
+    Row row;
+    INSIGHT_ASSIGN_OR_RETURN(row.data, index_->FetchDataTuple(hit, &oid));
+    row.oid = oid;
+    if (propagate_) {
+      if (reconstruct_summaries_) {
+        // Fig. 12 arm: re-form the object from its normalized primitives.
+        INSIGHT_ASSIGN_OR_RETURN(SummaryObject obj,
+                                 index_->ReconstructObject(oid));
+        row.summaries = SummarySet({std::move(obj)});
+      } else {
+        INSIGHT_ASSIGN_OR_RETURN(row.summaries,
+                                 mgr_->GetSummaries(oid, snapshot()));
+      }
     }
+    batch->Push(std::move(row));
   }
-  ++rows_produced_;
-  return true;
+  return !batch->empty();
 }
 
 std::string BaselineIndexScanOp::Describe() const {
@@ -525,27 +466,6 @@ Status KeywordIndexScanOp::OpenImpl() {
   return Status::OK();
 }
 
-Result<bool> KeywordIndexScanOp::Next(Row* row) {
-  while (pos_ < oids_.size()) {
-    const Oid oid = oids_[pos_++];
-    auto data = mgr_->base()->Get(oid, snapshot());
-    if (!data.ok()) {
-      if (data.status().IsNotFound()) continue;  // Stale posting entry.
-      return data.status();
-    }
-    row->data = std::move(data.ValueOrDie());
-    row->oid = oid;
-    row->summaries = SummarySet();
-    if (propagate_) {
-      INSIGHT_ASSIGN_OR_RETURN(row->summaries,
-                               mgr_->GetSummaries(oid, snapshot()));
-    }
-    ++rows_produced_;
-    return true;
-  }
-  return false;
-}
-
 Result<bool> KeywordIndexScanOp::NextBatchImpl(RowBatch* batch) {
   while (!batch->full() && pos_ < oids_.size()) {
     const Oid oid = oids_[pos_++];
@@ -562,7 +482,6 @@ Result<bool> KeywordIndexScanOp::NextBatchImpl(RowBatch* batch) {
                                mgr_->GetSummaries(oid, snapshot()));
     }
     batch->Push(std::move(row));
-    ++rows_produced_;
   }
   return !batch->empty();
 }
@@ -586,8 +505,7 @@ namespace {
 Result<bool> FilterNextBatch(PhysicalOperator* child,
                              const Expression* predicate, size_t capacity,
                              RowBatch* input, std::vector<uint8_t>* flags,
-                             size_t* input_pos, uint64_t* rows_produced,
-                             RowBatch* batch) {
+                             size_t* input_pos, RowBatch* batch) {
   if (input->capacity() != capacity) input->set_capacity(capacity);
   while (!batch->full()) {
     if (*input_pos >= input->size()) {
@@ -601,7 +519,6 @@ Result<bool> FilterNextBatch(PhysicalOperator* child,
     for (; *input_pos < input->size() && !batch->full(); ++*input_pos) {
       if ((*flags)[*input_pos] != 0) {
         batch->Push(std::move(input->rows()[*input_pos]));
-        ++*rows_produced;
       }
     }
   }
@@ -620,7 +537,7 @@ Status SelectOp::OpenImpl() {
   return child_->Open();
 }
 
-Result<bool> SelectOp::FilterColumnar(ColumnBatch* batch) {
+Result<bool> SelectOp::NextColumnBatchImpl(ColumnBatch* batch) {
   // One (possibly short) filtered batch per child batch; loop past
   // batches the predicate empties entirely, since returning false means
   // end-of-stream to the caller.
@@ -638,40 +555,18 @@ Result<bool> SelectOp::FilterColumnar(ColumnBatch* batch) {
   }
 }
 
-Result<bool> SelectOp::NextColumnBatchImpl(ColumnBatch* batch) {
-  INSIGHT_ASSIGN_OR_RETURN(bool has, FilterColumnar(batch));
-  if (!has) return false;
-  rows_produced_ += batch->size();
-  return true;
-}
-
 Result<bool> SelectOp::NextBatchImpl(RowBatch* batch) {
   if (child_->ColumnarCapable()) {
     // Columnar filter, then pivot only the survivors out to rows — this
     // is the row/column boundary for plans with a row-based consumer
     // above the filter.
-    INSIGHT_ASSIGN_OR_RETURN(bool has, FilterColumnar(&col_scratch_));
+    INSIGHT_ASSIGN_OR_RETURN(bool has, NextColumnBatchImpl(&col_scratch_));
     if (!has) return false;
     col_scratch_.ToRowBatch(batch);
-    rows_produced_ += batch->size();
     return true;
   }
   return FilterNextBatch(child_.get(), predicate_.get(), batch_capacity(),
-                         &input_, &flags_, &input_pos_, &rows_produced_,
-                         batch);
-}
-
-Result<bool> SelectOp::Next(Row* row) {
-  while (true) {
-    INSIGHT_ASSIGN_OR_RETURN(bool has, child_->Next(row));
-    if (!has) return false;
-    INSIGHT_ASSIGN_OR_RETURN(bool pass,
-                             predicate_->EvalBool(*row, child_->schema()));
-    if (pass) {
-      ++rows_produced_;
-      return true;
-    }
-  }
+                         &input_, &flags_, &input_pos_, batch);
 }
 
 std::string SelectOp::Describe() const {
@@ -690,21 +585,7 @@ Status SummarySelectOp::OpenImpl() {
 
 Result<bool> SummarySelectOp::NextBatchImpl(RowBatch* batch) {
   return FilterNextBatch(child_.get(), predicate_.get(), batch_capacity(),
-                         &input_, &flags_, &input_pos_, &rows_produced_,
-                         batch);
-}
-
-Result<bool> SummarySelectOp::Next(Row* row) {
-  while (true) {
-    INSIGHT_ASSIGN_OR_RETURN(bool has, child_->Next(row));
-    if (!has) return false;
-    INSIGHT_ASSIGN_OR_RETURN(bool pass,
-                             predicate_->EvalBool(*row, child_->schema()));
-    if (pass) {
-      ++rows_produced_;
-      return true;
-    }
-  }
+                         &input_, &flags_, &input_pos_, batch);
 }
 
 std::string SummarySelectOp::Describe() const {
@@ -742,18 +623,6 @@ Status SummaryFilterOp::OpenImpl() {
   return child_->Open();
 }
 
-Result<bool> SummaryFilterOp::Next(Row* row) {
-  INSIGHT_ASSIGN_OR_RETURN(bool has, child_->Next(row));
-  if (!has) return false;
-  std::vector<SummaryObject> kept;
-  for (SummaryObject& obj : row->summaries.objects()) {
-    if (predicate_.Matches(obj)) kept.push_back(std::move(obj));
-  }
-  row->summaries = SummarySet(std::move(kept));
-  ++rows_produced_;
-  return true;
-}
-
 Result<bool> SummaryFilterOp::NextBatchImpl(RowBatch* batch) {
   // 1:1 transform: filter each row's summary set in place.
   INSIGHT_ASSIGN_OR_RETURN(bool has, child_->NextBatch(batch));
@@ -765,7 +634,6 @@ Result<bool> SummaryFilterOp::NextBatchImpl(RowBatch* batch) {
     }
     row.summaries = SummarySet(std::move(kept));
   }
-  rows_produced_ += batch->size();
   return true;
 }
 
@@ -804,7 +672,6 @@ Result<bool> ProjectOp::NextBatchImpl(RowBatch* batch) {
           ProjectSummaries(row.summaries, indices_, resolver_));
     }
   }
-  rows_produced_ += batch->size();
   return true;
 }
 
@@ -822,20 +689,6 @@ Result<bool> ProjectOp::NextColumnBatchImpl(ColumnBatch* batch) {
     if (!projected.ok()) return projected.status();
     s = std::move(projected.ValueOrDie());
   }
-  rows_produced_ += batch->size();
-  return true;
-}
-
-Result<bool> ProjectOp::Next(Row* row) {
-  INSIGHT_ASSIGN_OR_RETURN(bool has, child_->Next(row));
-  if (!has) return false;
-  row->data = row->data.Project(indices_);
-  if (!row->summaries.empty()) {
-    INSIGHT_ASSIGN_OR_RETURN(
-        row->summaries,
-        ProjectSummaries(row->summaries, indices_, resolver_));
-  }
-  ++rows_produced_;
   return true;
 }
 
@@ -854,22 +707,12 @@ RenameOp::RenameOp(OpPtr child, const std::string& alias)
   }
 }
 
-Result<bool> LimitOp::Next(Row* row) {
-  if (emitted_ >= limit_) return false;
-  INSIGHT_ASSIGN_OR_RETURN(bool has, child_->Next(row));
-  if (!has) return false;
-  ++emitted_;
-  ++rows_produced_;
-  return true;
-}
-
 Result<bool> LimitOp::NextBatchImpl(RowBatch* batch) {
   if (emitted_ >= limit_) return false;
   INSIGHT_ASSIGN_OR_RETURN(bool has, child_->NextBatch(batch));
   if (!has) return false;
   batch->Truncate(static_cast<size_t>(limit_ - emitted_));
   emitted_ += batch->size();
-  rows_produced_ += batch->size();
   return !batch->empty();
 }
 
@@ -879,7 +722,6 @@ Result<bool> LimitOp::NextColumnBatchImpl(ColumnBatch* batch) {
   if (!has) return false;
   batch->Truncate(static_cast<size_t>(limit_ - emitted_));
   emitted_ += batch->size();
-  rows_produced_ += batch->size();
   return !batch->empty();
 }
 

@@ -193,35 +193,46 @@ Result<std::vector<Row>> CollectBatched(PhysicalOperator* op) {
   return out;
 }
 
-Result<std::vector<Row>> CollectOneAtATime(PhysicalOperator* op) {
-  INSIGHT_RETURN_NOT_OK(op->Open());
+// Test-side oracle: drains the unfiltered scan and applies the predicate
+// one row at a time through the scalar evaluator (Expression::EvalBool),
+// independent of the operators' batch and columnar filters.
+Result<std::vector<Row>> FilterOneAtATime(PhysicalOperator* scan,
+                                          const Expression& pred) {
+  INSIGHT_ASSIGN_OR_RETURN(std::vector<Row> all, CollectRows(scan));
   std::vector<Row> out;
-  Row row;
-  while (true) {
-    INSIGHT_ASSIGN_OR_RETURN(bool has, op->Next(&row));
-    if (!has) break;
-    out.push_back(row);
+  for (Row& row : all) {
+    INSIGHT_ASSIGN_OR_RETURN(bool pass, pred.EvalBool(row, scan->schema()));
+    if (pass) out.push_back(std::move(row));
   }
-  op->Close();
   return out;
 }
 
-// Drives the same predicate through all three interfaces over a fresh
+// Drives the same predicate through the row oracle (EvalBool), SelectOp's
+// row-batch filter (EvalBoolBatch), and its columnar filter
+// (EvalPredColumnar, read both as rows and as column batches) over a fresh
 // plan each time and expects identical result multisets.
 void ExpectAllPathsAgree(TestDb* db, const std::function<ExprPtr()>& pred,
                          size_t expected_rows = SIZE_MAX) {
   auto build = [&] {
     return std::make_unique<SelectOp>(db->Scan(false), pred());
   };
-  auto plan = build();
-  auto row_path = CollectOneAtATime(plan.get());
+  auto scan = db->Scan(false);
+  auto row_path = FilterOneAtATime(scan.get(), *pred());
   ASSERT_TRUE(row_path.ok()) << row_path.status().ToString();
+  // A child that is not columnar-capable (F with no predicate passes rows
+  // through unchanged) keeps SelectOp on its row-batch filter.
+  auto plan = std::make_unique<SelectOp>(
+      std::make_unique<SummaryFilterOp>(db->Scan(false), ObjectPredicate{}),
+      pred());
+  auto row_batch_path = CollectBatched(plan.get());
+  ASSERT_TRUE(row_batch_path.ok()) << row_batch_path.status().ToString();
   plan = build();
   auto batch_path = CollectBatched(plan.get());
   ASSERT_TRUE(batch_path.ok()) << batch_path.status().ToString();
   plan = build();
   auto col_path = CollectColumnar(plan.get());
   ASSERT_TRUE(col_path.ok()) << col_path.status().ToString();
+  EXPECT_EQ(Canon(*row_path), Canon(*row_batch_path));
   EXPECT_EQ(Canon(*row_path), Canon(*batch_path));
   EXPECT_EQ(Canon(*row_path), Canon(*col_path));
   if (expected_rows != SIZE_MAX) {
@@ -257,15 +268,12 @@ TEST(ColumnarEquivalenceTest, NaNAndNegativeZeroAgreeAcrossPaths) {
     ASSERT_TRUE(table->Insert(Tuple({Value::Double(v)})).ok());
   }
   for (CompareOp op : {CompareOp::kGe, CompareOp::kLt, CompareOp::kEq}) {
-    auto build = [&] {
-      return std::make_unique<SelectOp>(
-          std::make_unique<SeqScanOp>(table, nullptr, false),
-          Cmp(Col("x"), op, Lit(Value::Double(0.0))));
-    };
-    auto plan = build();
-    auto row_path = CollectOneAtATime(plan.get());
+    auto pred = [&] { return Cmp(Col("x"), op, Lit(Value::Double(0.0))); };
+    SeqScanOp scan(table, nullptr, false);
+    auto row_path = FilterOneAtATime(&scan, *pred());
     ASSERT_TRUE(row_path.ok());
-    plan = build();
+    auto plan = std::make_unique<SelectOp>(
+        std::make_unique<SeqScanOp>(table, nullptr, false), pred());
     auto col_path = CollectColumnar(plan.get());
     ASSERT_TRUE(col_path.ok());
     EXPECT_EQ(Canon(*row_path), Canon(*col_path))

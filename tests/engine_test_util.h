@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "annotation/annotation_store.h"
 #include "engine/operators.h"
@@ -65,12 +66,22 @@ class TestDb {
     return std::make_unique<SeqScanOp>(birds, mgr.get(), propagate);
   }
 
+  /// Keeps a test-built index alive for the database's lifetime.
+  template <typename T>
+  T* Own(std::unique_ptr<T> obj) {
+    T* raw = obj.get();
+    owned.push_back(std::shared_ptr<void>(std::move(obj)));
+    return raw;
+  }
+
   StorageManager storage;
   BufferPool pool;
   Catalog catalog;
   Table* birds;
   std::unique_ptr<AnnotationStore> annotations;
   std::unique_ptr<SummaryManager> mgr;
+  // After mgr: owned indexes deregister from it before it is destroyed.
+  std::vector<std::shared_ptr<void>> owned;
 };
 
 }  // namespace insight

@@ -554,23 +554,9 @@ TEST(PaperExample1Test, SelectProjectJoinPropagation) {
 }
 
 // ---------------------------------------------------------------------------
-// Batch executor: rewind and batch-vs-row equivalence, parameterized over
-// the plan shapes that implement NextBatchImpl natively.
+// Batch executor: rewind and batch-size independence, parameterized over
+// every operator's NextBatchImpl.
 // ---------------------------------------------------------------------------
-
-// Drives a plan strictly through the row-at-a-time interface.
-Result<std::vector<Row>> CollectRowsOneAtATime(PhysicalOperator* op) {
-  INSIGHT_RETURN_NOT_OK(op->Open());
-  std::vector<Row> out;
-  Row row;
-  while (true) {
-    INSIGHT_ASSIGN_OR_RETURN(bool has, op->Next(&row));
-    if (!has) break;
-    out.push_back(row);
-  }
-  op->Close();
-  return out;
-}
 
 std::vector<std::string> Repr(const std::vector<Row>& rows) {
   std::vector<std::string> out;
@@ -657,8 +643,8 @@ const PlanCase kPlanCases[] = {
      [](TestDb& db) -> OpPtr {
        return std::make_unique<LimitOp>(db.Scan(true), 7);
      }},
-    // Legacy operators (default batch adapter); NestedLoopJoin's inner
-    // rescan is the strongest rewind dependency in the tree.
+    // NestedLoopJoin's inner rescan is the strongest rewind dependency in
+    // the tree.
     {"NestedLoopJoin",
      [](TestDb& db) -> OpPtr {
        return std::make_unique<NestedLoopJoinOp>(
@@ -671,6 +657,68 @@ const PlanCase kPlanCases[] = {
            db.Scan(true), std::vector<std::string>{"family"},
            db.mgr->MakeResolver());
        return std::make_unique<DistinctOp>(std::move(project));
+     }},
+    // Five inner matches per outer row: tiny batches fill mid-match.
+    {"IndexNLJoin",
+     [](TestDb& db) -> OpPtr {
+       db.birds->CreateColumnIndex("family").ok();
+       return std::make_unique<IndexNLJoinOp>(db.Scan(true), db.birds,
+                                              "family", Col("family"),
+                                              db.mgr.get(), true);
+     }},
+    {"SummaryJoinNestedLoop",
+     [](TestDb& db) -> OpPtr {
+       SummaryJoinPredicate pred;
+       pred.left_expr = LabelValue("ClassBird1", "Disease");
+       pred.op = CompareOp::kEq;
+       pred.right_expr = LabelValue("ClassBird1", "Disease");
+       return std::make_unique<SummaryJoinOp>(db.Scan(true), db.Scan(true),
+                                              std::move(pred));
+     }},
+    {"SummaryJoinIndex",
+     [](TestDb& db) -> OpPtr {
+       const SummaryBTree* index = db.Own(*SummaryBTree::Create(
+           &db.storage, &db.pool, db.mgr.get(), "ClassBird1",
+           SummaryBTree::Options{}));
+       return std::make_unique<SummaryJoinOp>(db.Scan(true), db.birds,
+                                              db.mgr.get(), index,
+                                              "ClassBird1", "Disease", true);
+     }},
+    {"SummaryIndexScan",
+     [](TestDb& db) -> OpPtr {
+       const SummaryBTree* index = db.Own(*SummaryBTree::Create(
+           &db.storage, &db.pool, db.mgr.get(), "ClassBird1",
+           SummaryBTree::Options{}));
+       return std::make_unique<SummaryIndexScanOp>(
+           index, ClassifierProbe::Range("Disease", 0, 100), db.mgr.get(),
+           true);
+     }},
+    {"KeywordIndexScan",
+     [](TestDb& db) -> OpPtr {
+       // Past the 80-char snippet threshold, so each tuple gets a snippet.
+       for (Oid oid : {2, 3, 6, 11, 17}) {
+         db.mgr
+             ->AddAnnotation("osprey sighting at the northern lake shore. "
+                             "osprey seen again near the old nesting "
+                             "platform at dusk.",
+                             {{oid, CellMask(0)}})
+             .ValueOrDie();
+       }
+       const SnippetKeywordIndex* index = db.Own(*SnippetKeywordIndex::Create(
+           &db.storage, &db.pool, db.mgr.get(), "TextSummary1",
+           SnippetKeywordIndex::Options{}));
+       return std::make_unique<KeywordIndexScanOp>(
+           index, std::vector<std::string>{"osprey"}, db.mgr.get(), true);
+     }},
+    {"BaselineIndexScan",
+     [](TestDb& db) -> OpPtr {
+       const BaselineClassifierIndex* index =
+           db.Own(*BaselineClassifierIndex::Create(
+               &db.catalog, db.mgr.get(), "ClassBird1",
+               BaselineClassifierIndex::Options{}));
+       return std::make_unique<BaselineIndexScanOp>(
+           index, ClassifierProbe::Range("Disease", 0, 100), db.mgr.get(),
+           true, /*reconstruct_summaries=*/true);
      }},
 };
 
@@ -697,17 +745,19 @@ TEST_P(BatchExecutorTest, DoubleExecutionMatches) {
   ASSERT_TRUE(second.ok()) << second.status().ToString();
   EXPECT_EQ(Repr(*first), Repr(*second));
   EXPECT_GT(first->size(), 0u);
-  EXPECT_EQ(op->rows_produced(), second->size());
+  EXPECT_EQ(op->stats().rows, second->size());
 }
 
-// The batch path (CollectRows drives NextBatch) must emit exactly the rows
-// the row-at-a-time path emits, in the same order.
+// One-row batches (every operator resumes after each emitted row) must
+// emit exactly the rows the default capacity emits, in the same order.
 TEST_P(BatchExecutorTest, BatchMatchesRowAtATime) {
   OpPtr op = GetParam().build(db_);
-  auto row_path = CollectRowsOneAtATime(op.get());
-  ASSERT_TRUE(row_path.ok()) << row_path.status().ToString();
   auto batch_path = CollectRows(op.get());
   ASSERT_TRUE(batch_path.ok()) << batch_path.status().ToString();
+  ExecutionContext ctx(&db_.storage, &db_.pool, /*batch_size=*/1);
+  op->AttachContext(&ctx);
+  auto row_path = CollectRows(op.get());
+  ASSERT_TRUE(row_path.ok()) << row_path.status().ToString();
   EXPECT_EQ(Repr(*row_path), Repr(*batch_path));
 }
 
@@ -743,12 +793,12 @@ TEST(SortTest, ExternalBatchOutputMatchesMemoryRowForRow) {
     return keys;
   };
   SortOp mem(db.Scan(true), make_keys(), SortOp::Mode::kMemory);
-  auto mem_rows = CollectRowsOneAtATime(&mem);
+  auto mem_rows = CollectRows(&mem);
   ASSERT_TRUE(mem_rows.ok()) << mem_rows.status().ToString();
 
   SortOp ext(db.Scan(true), make_keys(), SortOp::Mode::kExternal, &db.storage,
              &db.pool, /*memory_budget_bytes=*/2048);
-  auto ext_rows = CollectRows(&ext);  // Batch-mode drive.
+  auto ext_rows = CollectRows(&ext);
   ASSERT_TRUE(ext_rows.ok()) << ext_rows.status().ToString();
   EXPECT_GT(ext.runs_spilled(), 0u);
   ASSERT_EQ(mem_rows->size(), ext_rows->size());

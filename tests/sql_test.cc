@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <sstream>
+
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "sql/database.h"
 #include "sql/parser.h"
 
@@ -279,6 +283,90 @@ TEST_F(DatabaseTest, SummaryJoinBetweenVersions) {
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   ASSERT_EQ(result->rows.size(), 1u);
   EXPECT_EQ(result->rows[0].at(0).AsString(), "bird0");
+}
+
+// EXPLAIN ANALYZE over the Q2 shape: every operator under a join must
+// report the rows it really produced. Join inputs are pulled through the
+// same counted NextBatch() as every other operator, so a scan or Rename
+// under a join never reads rows=0 and never feeds a bogus q-error into
+// insight_plan_qerror (or the cardinality-feedback loop).
+class JoinAnalyzeTest : public DatabaseTest {
+ protected:
+  static constexpr int kRows = 12;  // Birds and BirdsV2 both.
+
+  JoinAnalyzeTest() {
+    db.Execute("CREATE TABLE BirdsV2 (name TEXT, family TEXT, weight DOUBLE)")
+        .ValueOrDie();
+    db.Execute("ALTER TABLE BirdsV2 ADD ClassBird1").ValueOrDie();
+    for (int i = 0; i < kRows; ++i) {
+      db.Execute("INSERT INTO BirdsV2 VALUES ('bird" + std::to_string(i) +
+                 "', 'familyX', 1.0)")
+          .ValueOrDie();
+    }
+    Annotate(1, "disease", 2);
+    db.Execute("ANNOTATE BirdsV2 TUPLE 1 WITH 'diseaseword note'")
+        .ValueOrDie();
+    EXPECT_TRUE(db.Analyze("Birds").ok());
+    EXPECT_TRUE(db.Analyze("BirdsV2").ok());
+    db.slow_query_log()->set_threshold_ms(0);  // Capture every trace.
+  }
+
+  // Runs EXPLAIN ANALYZE on `sql`, expects `join` in the plan, and checks
+  // every scan/Rename line and span against the true table size.
+  void ExpectChildrenCounted(const std::string& sql, const std::string& join) {
+    MetricsRegistry::Global().ResetAll();
+    auto plan = db.ExplainAnalyze(sql);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    EXPECT_NE(plan->find(join), std::string::npos) << *plan;
+    const std::string counted = "(rows=" + std::to_string(kRows) + " ";
+    std::istringstream lines(*plan);
+    int children = 0;
+    for (std::string line; std::getline(lines, line);) {
+      if (line.find("SeqScan(") == std::string::npos &&
+          line.find("Rename(") == std::string::npos) {
+        continue;
+      }
+      ++children;
+      EXPECT_NE(line.find(counted), std::string::npos) << line;
+    }
+    EXPECT_EQ(children, 4) << *plan;  // Two scans, two Renames.
+
+    // Every q-error sample comes from one of this statement's spans, and
+    // none of those spans is a scan or Rename with a zero actual.
+    const std::vector<QueryTrace> traces = db.slow_query_log()->Snapshot();
+    ASSERT_FALSE(traces.empty());
+    const QueryTrace& trace = traces.back();
+    uint64_t samples = 0;
+    double qerror_sum = 0;
+    for (const TraceSpan& span : trace.spans) {
+      if (span.op.rfind("SeqScan(", 0) == 0 ||
+          span.op.rfind("Rename(", 0) == 0) {
+        EXPECT_EQ(span.actual_rows, static_cast<uint64_t>(kRows)) << span.op;
+      }
+      if (!span.has_estimate()) continue;
+      ++samples;
+      qerror_sum += span.qerror();
+    }
+    const Histogram* qerror = EngineMetrics::Get().plan_qerror;
+    EXPECT_EQ(qerror->count(), samples);
+    EXPECT_NEAR(qerror->sum(), qerror_sum, 1e-9);
+  }
+};
+
+TEST_F(JoinAnalyzeTest, NestedLoopJoinChildrenReportTrueRowCounts) {
+  db.optimizer_options().enable_hash_join = false;
+  ExpectChildrenCounted(
+      "SELECT v1.name FROM Birds v1, BirdsV2 v2 WHERE v1.name = v2.name",
+      "NestedLoopJoin(");
+}
+
+TEST_F(JoinAnalyzeTest, SummaryJoinChildrenReportTrueRowCounts) {
+  ExpectChildrenCounted(
+      "SELECT v1.name FROM Birds v1, BirdsV2 v2 "
+      "WHERE v1.name = v2.name AND "
+      "v1.$.getSummaryObject('ClassBird1').getLabelValue('Disease') <> "
+      "v2.$.getSummaryObject('ClassBird1').getLabelValue('Disease')",
+      ", nested-loop)");
 }
 
 TEST_F(DatabaseTest, ZoomInCommand) {
