@@ -31,7 +31,6 @@ int main(int argc, char** argv) {
     opts.build_baseline_index = true;
     GenerateBirdsWorkload(&db, opts).ValueOrDie();
 
-    SummaryManager* mgr = *db.GetManager("Birds");
     const SummaryBTree* sbt = *db.GetSummaryIndex("Birds", "ClassBird1");
     const BaselineClassifierIndex* baseline =
         (*db.context()->Get("Birds"))->BaselineIndexFor("ClassBird1");
@@ -43,19 +42,27 @@ int main(int argc, char** argv) {
     const ClassifierProbe probe =
         ClassifierProbe::Range("Anatomy", mid, mid + 2);
 
-    size_t hits = 0;
+    size_t base_hits = 0;
+    size_t sbt_hits = 0;
     const double base_ms = MedianMillis(config.query_repeats, [&] {
-      BaselineIndexScanOp scan(baseline, probe, mgr, /*propagate=*/true,
-                               /*reconstruct_summaries=*/true);
-      hits = CollectRows(&scan).ValueOrDie().size();
+      IndexScanOp scan(std::make_unique<BaselineProbe>(
+                           baseline, probe, /*reconstruct_summaries=*/true),
+                       /*propagate=*/true);
+      base_hits = CollectRows(&scan).ValueOrDie().size();
     });
     const double sbt_ms = MedianMillis(config.query_repeats, [&] {
-      SummaryIndexScanOp scan(sbt, probe, mgr, /*propagate=*/true);
-      hits = CollectRows(&scan).ValueOrDie().size();
+      IndexScanOp scan(std::make_unique<SummaryBTreeProbe>(sbt, probe),
+                       /*propagate=*/true);
+      sbt_hits = CollectRows(&scan).ValueOrDie().size();
     });
     std::printf("%-10s %6zu %18.2f %18.2f %8.1f\n",
-                BenchConfig::PaperAxisLabel(per_bird).c_str(), hits, base_ms,
-                sbt_ms, base_ms / sbt_ms);
+                BenchConfig::PaperAxisLabel(per_bird).c_str(), sbt_hits,
+                base_ms, sbt_ms, base_ms / sbt_ms);
+    if (base_hits != sbt_hits) {
+      std::fprintf(stderr, "arms disagree: baseline %zu rows, "
+                   "Summary-BTree %zu rows\n", base_hits, sbt_hits);
+      return 1;
+    }
   }
   std::printf("\n(both arms return the same tuples; the baseline arm "
               "re-forms each Classifier object from its normalized rows, "

@@ -49,11 +49,13 @@ int main(int argc, char** argv) {
     const ClassifierProbe probe =
         ClassifierProbe::Range("Disease", mid, mid + 2);
 
-    size_t hits = 0;
+    std::vector<size_t> hits;  // Per arm, in run order.
     auto run = [&](const SummaryBTree* index, bool propagate) {
+      hits.push_back(0);
       return MedianMillis(config.query_repeats, [&] {
-        SummaryIndexScanOp scan(index, probe, mgr, propagate);
-        hits = CollectRows(&scan).ValueOrDie().size();
+        IndexScanOp scan(std::make_unique<SummaryBTreeProbe>(index, probe),
+                         propagate);
+        hits.back() = CollectRows(&scan).ValueOrDie().size();
       });
     };
     const double bwd_prop = run(backward.get(), true);
@@ -61,9 +63,16 @@ int main(int argc, char** argv) {
     const double bwd_noprop = run(backward.get(), false);
     const double conv_noprop = run(conventional.get(), false);
     std::printf("%-10s %6zu | %11.2f %11.2f | %11.2f %11.2f | %5.1fx\n",
-                BenchConfig::PaperAxisLabel(per_bird).c_str(), hits,
+                BenchConfig::PaperAxisLabel(per_bird).c_str(), hits[0],
                 bwd_prop, conv_prop, bwd_noprop, conv_noprop,
                 conv_noprop / bwd_noprop);
+    for (size_t arm = 1; arm < hits.size(); ++arm) {
+      if (hits[arm] != hits[0]) {
+        std::fprintf(stderr, "arms disagree: arm %zu returned %zu rows, "
+                     "arm 0 returned %zu\n", arm, hits[arm], hits[0]);
+        return 1;
+      }
+    }
   }
   return 0;
 }

@@ -62,6 +62,17 @@ if [ -x build/bench/bench_fig16_case_study ]; then
     > /dev/null)
 fi
 
+# Index-figure smoke: Figs. 10-13 at 90 birds drive every index probe,
+# including the conventional-pointer Summary-BTree and the reconstructing
+# baseline scan; Figs. 12 and 13 exit nonzero when their arms disagree.
+for bench in bench_fig10_sp_query bench_fig11_two_predicates \
+    bench_fig12_denorm_propagation bench_fig13_backward_ptrs; do
+  if [ -x "build/bench/${bench}" ]; then
+    echo "==> index-figure smoke (${bench})"
+    (cd build/bench && "./${bench}" --scale=0.002 --repeats=1 > /dev/null)
+  fi
+done
+
 # Server smoke: boot insightd, run statements through insight_cli over
 # the wire, scrape the Metrics frame, and require a clean drain exit.
 if [ -x build/src/net/insightd ]; then

@@ -71,23 +71,17 @@ IndexNLJoinOp::IndexNLJoinOp(OpPtr outer, Table* inner,
                              std::string inner_column, ExprPtr outer_key,
                              SummaryManager* inner_mgr, bool propagate_inner)
     : outer_(std::move(outer)),
-      inner_(inner),
-      inner_column_(std::move(inner_column)),
+      inner_(inner, inner_mgr, std::move(inner_column), std::nullopt, true,
+             std::nullopt, true),
       outer_key_(std::move(outer_key)),
-      inner_mgr_(inner_mgr),
       propagate_inner_(propagate_inner && inner_mgr != nullptr),
       outer_input_(outer_.get()) {
-  schema_ = Schema::Concat(outer_->schema(), inner_->schema());
+  schema_ = Schema::Concat(outer_->schema(), inner->schema());
 }
 
 Status IndexNLJoinOp::OpenImpl() {
   ResetExec();
-  index_ = inner_->GetColumnIndex(inner_column_);
-  if (index_ == nullptr) {
-    return Status::InvalidArgument("index join needs an index on " +
-                                   inner_->name() + "." + inner_column_);
-  }
-  INSIGHT_ASSIGN_OR_RETURN(inner_pos_, inner_->schema().IndexOf(inner_column_));
+  INSIGHT_RETURN_NOT_OK(inner_.Bind());
   outer_valid_ = false;
   match_pos_ = 0;
   matches_.clear();
@@ -105,34 +99,21 @@ Result<bool> IndexNLJoinOp::NextBatchImpl(RowBatch* batch) {
       outer_valid_ = true;
       INSIGHT_ASSIGN_OR_RETURN(
           Value key, outer_key_->Eval(current_outer_, outer_->schema()));
-      join_key_ = EncodeIndexKey(key);
-      INSIGHT_ASSIGN_OR_RETURN(std::vector<uint64_t> hits,
-                               index_->Lookup(join_key_));
-      matches_.assign(hits.begin(), hits.end());
+      inner_.SetPoint(key);
+      INSIGHT_ASSIGN_OR_RETURN(matches_, inner_.Search(snapshot()));
       match_pos_ = 0;
     }
     while (match_pos_ < matches_.size() && !batch->full()) {
-      const Oid inner_oid = matches_[match_pos_++];
-      // Column indexes keep entries for every stored version; fetch the
-      // version visible to this plan's snapshot, skip oids with none, and
-      // re-verify the indexed value against the visible version.
-      auto fetched = inner_->Get(inner_oid, snapshot());
-      if (!fetched.ok()) {
-        if (fetched.status().IsNotFound()) continue;
-        return fetched.status();
-      }
-      Tuple inner_tuple = std::move(fetched.ValueOrDie());
-      if (EncodeIndexKey(inner_tuple.at(inner_pos_)) != join_key_) continue;
+      Row inner;
+      INSIGHT_ASSIGN_OR_RETURN(
+          bool visible, inner_.Fetch(matches_[match_pos_++], snapshot(),
+                                     propagate_inner_, &inner));
+      if (!visible) continue;
       Row row;
-      row.data = Tuple::Concat(current_outer_.data, inner_tuple);
-      SummarySet inner_summaries;
-      if (propagate_inner_) {
-        INSIGHT_ASSIGN_OR_RETURN(
-            inner_summaries, inner_mgr_->GetSummaries(inner_oid, snapshot()));
-      }
+      row.data = Tuple::Concat(current_outer_.data, inner.data);
       INSIGHT_ASSIGN_OR_RETURN(
           row.summaries,
-          MergeSummaries(current_outer_.summaries, inner_summaries,
+          MergeSummaries(current_outer_.summaries, inner.summaries,
                          outer_arity));
       batch->Push(std::move(row));
     }
@@ -142,8 +123,8 @@ Result<bool> IndexNLJoinOp::NextBatchImpl(RowBatch* batch) {
 }
 
 std::string IndexNLJoinOp::Describe() const {
-  return "IndexNLJoin(" + inner_->name() + "." + inner_column_ + " = " +
-         outer_key_->ToString() + ")";
+  return "IndexNLJoin(" + inner_.table()->name() + "." + inner_.column() +
+         " = " + outer_key_->ToString() + ")";
 }
 
 // ---------- HashJoinOp ----------
@@ -275,20 +256,17 @@ SummaryJoinOp::SummaryJoinOp(OpPtr left, OpPtr right,
   schema_ = Schema::Concat(left_->schema(), right_->schema());
 }
 
-SummaryJoinOp::SummaryJoinOp(OpPtr left, Table* right_table,
-                             SummaryManager* right_mgr,
-                             const SummaryBTree* right_index,
+SummaryJoinOp::SummaryJoinOp(OpPtr left, const SummaryBTree* right_index,
                              std::string label_instance, std::string label,
                              bool propagate_right)
     : left_(std::move(left)),
       left_input_(left_.get()),
-      right_table_(right_table),
-      right_mgr_(right_mgr),
-      right_index_(right_index),
+      right_probe_(std::make_unique<SummaryBTreeProbe>(
+          right_index, ClassifierProbe())),  // Re-aimed per left row.
       label_instance_(std::move(label_instance)),
       label_(std::move(label)),
       propagate_right_(propagate_right) {
-  schema_ = Schema::Concat(left_->schema(), right_table_->schema());
+  schema_ = Schema::Concat(left_->schema(), right_probe_->table()->schema());
 }
 
 std::vector<PhysicalOperator*> SummaryJoinOp::children() const {
@@ -370,29 +348,23 @@ Status SummaryJoinOp::ProbeIndex() {
   if (obj == nullptr) return Status::OK();
   auto count = obj->GetLabelValue(label_);
   if (!count.ok()) return Status::OK();
-  INSIGHT_ASSIGN_OR_RETURN(
-      hits_, right_index_->Search(ClassifierProbe::Equal(label_, *count),
-                                  snapshot()));
+  right_probe_->set_probe(ClassifierProbe::Equal(label_, *count));
+  INSIGHT_ASSIGN_OR_RETURN(hits_, right_probe_->Search(snapshot()));
   return Status::OK();
 }
 
 Result<bool> SummaryJoinOp::FillIndex(RowBatch* batch) {
   while (hit_pos_ < hits_.size() && !batch->full()) {
-    const SummaryIndexHit& hit = hits_[hit_pos_++];
-    Oid right_oid = kInvalidOid;
+    Row right;
     INSIGHT_ASSIGN_OR_RETURN(
-        Tuple right_tuple,
-        right_index_->FetchDataTuple(hit, &right_oid, snapshot()));
+        bool visible, right_probe_->Fetch(hits_[hit_pos_++], snapshot(),
+                                          propagate_right_, &right));
+    if (!visible) continue;
     Row row;
-    row.data = Tuple::Concat(current_left_.data, right_tuple);
-    SummarySet right_summaries;
-    if (propagate_right_) {
-      INSIGHT_ASSIGN_OR_RETURN(
-          right_summaries, right_mgr_->GetSummaries(right_oid, snapshot()));
-    }
+    row.data = Tuple::Concat(current_left_.data, right.data);
     INSIGHT_ASSIGN_OR_RETURN(
         row.summaries,
-        MergeSummaries(current_left_.summaries, right_summaries,
+        MergeSummaries(current_left_.summaries, right.summaries,
                        left_arity_));
     batch->Push(std::move(row));
   }

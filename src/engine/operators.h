@@ -200,8 +200,6 @@ class ChildInput {
 class SeqScanOp : public PhysicalOperator {
  public:
   SeqScanOp(Table* table, SummaryManager* mgr, bool propagate);
-  /// Context form: resolves the table's SummaryManager from `ctx`.
-  SeqScanOp(ExecutionContext* ctx, Table* table, bool propagate);
 
   Status OpenImpl() override;
   const Schema& schema() const override { return table_->schema(); }
@@ -227,130 +225,174 @@ class SeqScanOp : public PhysicalOperator {
   uint64_t pages_skipped_ = 0;
 };
 
-/// Data-column B-Tree index scan with an optional [lower, upper] value
-/// range (either bound may be absent).
-class IndexScanOp : public PhysicalOperator {
- public:
-  IndexScanOp(Table* table, std::string column, std::optional<Value> lower,
-              bool lower_inclusive, std::optional<Value> upper,
-              bool upper_inclusive, SummaryManager* mgr, bool propagate);
-  /// Context form: resolves the table's SummaryManager from `ctx`.
-  IndexScanOp(ExecutionContext* ctx, Table* table, std::string column,
-              std::optional<Value> lower, bool lower_inclusive,
-              std::optional<Value> upper, bool upper_inclusive,
-              bool propagate);
+// ---------- Index access ----------
 
-  Status OpenImpl() override;
-  const Schema& schema() const override { return table_->schema(); }
-  std::string Describe() const override;
+/// One index access path: a search yielding candidate hits in index
+/// order, plus the one fetch step that turns a hit into a row. The column
+/// B-Tree, Summary-BTree, baseline and keyword indexes implement it; one
+/// IndexScanOp (and the inner side of IndexNLJoinOp / SummaryJoinOp)
+/// drives any of them. Hits over tuple OIDs fill only `oid`. A probe
+/// carries its table and SummaryManager (null for a plain table).
+class IndexProbe {
+ public:
+  IndexProbe(Table* table, SummaryManager* mgr) : table_(table), mgr_(mgr) {}
+  virtual ~IndexProbe() = default;
+  IndexProbe(const IndexProbe&) = delete;
+  IndexProbe& operator=(const IndexProbe&) = delete;
+
+  Table* table() const { return table_; }
+  SummaryManager* mgr() const { return mgr_; }
+
+  /// Resolves per-execution handles; the scanning operator's OpenImpl
+  /// calls it.
+  virtual Status Bind() { return Status::OK(); }
+
+  /// Candidate hits in index order — the order Rules 3-6 rely on.
+  virtual Result<std::vector<SummaryIndexHit>> Search(
+      const Snapshot& snap) const = 0;
+
+  /// The fetch step: the row `hit` names as visible at `snap`, with its
+  /// summaries when `propagate`. False when no version is visible or the
+  /// visible version fails Recheck.
+  Result<bool> Fetch(const SummaryIndexHit& hit, const Snapshot& snap,
+                     bool propagate, Row* row) const;
+
+  /// EXPLAIN rendering of a scan over this probe.
+  virtual std::string Describe(bool propagate) const = 0;
 
  protected:
-  Result<bool> NextBatchImpl(RowBatch* batch) override;
-
- private:
-  /// Resolves one index hit: false when the entry is stale for this
-  /// snapshot (no visible version, or the visible version's column value
-  /// falls outside the probed range) — MVCC column indexes may carry
-  /// entries for versions other snapshots see.
-  Result<bool> FetchVisible(Oid oid, Tuple* tuple) const;
+  /// Sets row->oid/data to the version of `hit` visible at `snap`
+  /// (NotFound: none); true when its pointer path filled row->summaries.
+  virtual Result<bool> Resolve(const SummaryIndexHit& hit,
+                               const Snapshot& snap, bool propagate,
+                               Row* row) const;
+  /// Re-verifies the visible row, for entries that can disagree with the
+  /// snapshot. Exact probes keep the default.
+  virtual bool Recheck(const Row& /*row*/) const { return true; }
+  /// The summary set propagated with a fetched row.
+  virtual Result<SummarySet> Summaries(Oid oid, const Snapshot& snap) const;
 
   Table* table_;
+  SummaryManager* mgr_;
+  bool recheck_reads_summaries_ = false;  // Load summaries before Recheck.
+};
+
+/// Data-column B-Tree probe over an optional [lower, upper] value range.
+/// Entries exist for every stored version, so Recheck re-verifies the
+/// visible version's value.
+class ColumnRangeProbe : public IndexProbe {
+ public:
+  ColumnRangeProbe(Table* table, SummaryManager* mgr, std::string column,
+                   std::optional<Value> lower, bool lower_inclusive,
+                   std::optional<Value> upper, bool upper_inclusive);
+
+  /// Re-aims the probe at one key (index nested-loop join).
+  void SetPoint(const Value& key);
+  const std::string& column() const { return column_; }
+
+  Status Bind() override;
+  Result<std::vector<SummaryIndexHit>> Search(
+      const Snapshot& snap) const override;
+  std::string Describe(bool propagate) const override;
+
+ protected:
+  bool Recheck(const Row& row) const override;
+
+ private:
   std::string column_;
   std::optional<Value> lower_;
   bool lower_inclusive_;
   std::optional<Value> upper_;
   bool upper_inclusive_;
-  SummaryManager* mgr_;
-  bool propagate_;
-  std::vector<Oid> oids_;
-  size_t pos_ = 0;
-  size_t col_pos_ = 0;
   std::string lower_key_;
   std::string upper_key_;
+  const BTree* index_ = nullptr;
+  size_t col_pos_ = 0;
 };
 
-/// Summary-BTree index scan: evaluates a classifier probe and emits the
-/// matching data tuples in ascending label-count order — the interesting
-/// order Rules 3-6 exploit.
-class SummaryIndexScanOp : public PhysicalOperator {
+/// Summary-BTree probe: label-range hits in ascending count order; exact
+/// (the version sidecar filters by snapshot), resolved through the
+/// index's backward or conventional pointers (Fig. 13).
+class SummaryBTreeProbe : public IndexProbe {
  public:
-  SummaryIndexScanOp(const SummaryBTree* index, ClassifierProbe probe,
-                     SummaryManager* mgr, bool propagate);
-  /// Context form: resolves `table`'s SummaryManager from `ctx`.
-  SummaryIndexScanOp(ExecutionContext* ctx, const SummaryBTree* index,
-                     ClassifierProbe probe, const std::string& table,
-                     bool propagate);
+  SummaryBTreeProbe(const SummaryBTree* index, ClassifierProbe probe);
 
-  Status OpenImpl() override;
-  const Schema& schema() const override;
-  std::string Describe() const override;
+  /// Re-aims the probe (summary join, once per left row).
+  void set_probe(ClassifierProbe probe) { probe_ = std::move(probe); }
+
+  Result<std::vector<SummaryIndexHit>> Search(
+      const Snapshot& snap) const override;
+  std::string Describe(bool propagate) const override;
 
  protected:
-  Result<bool> NextBatchImpl(RowBatch* batch) override;
+  Result<bool> Resolve(const SummaryIndexHit& hit, const Snapshot& snap,
+                       bool propagate, Row* row) const override;
 
  private:
   const SummaryBTree* index_;
   ClassifierProbe probe_;
-  SummaryManager* mgr_;
-  bool propagate_;
-  std::vector<SummaryIndexHit> hits_;
-  size_t pos_ = 0;
 };
 
-/// Baseline-scheme index scan (Fig. 4(c) comparison arm). When
-/// `reconstruct_summaries` is set, the propagated Classifier object is
-/// re-formed from the normalized rows instead of read from the
-/// de-normalized storage — the slow path measured in Fig. 12.
-class BaselineIndexScanOp : public PhysicalOperator {
+/// Baseline-scheme probe (Fig. 4(c)); its Search re-checks the replica's
+/// derived value at the snapshot. `reconstruct_summaries` re-forms the
+/// propagated object from the normalized rows (Fig. 12's slow path).
+class BaselineProbe : public IndexProbe {
  public:
-  BaselineIndexScanOp(const BaselineClassifierIndex* index,
-                      ClassifierProbe probe, SummaryManager* mgr,
-                      bool propagate, bool reconstruct_summaries);
+  BaselineProbe(const BaselineClassifierIndex* index, ClassifierProbe probe,
+                bool reconstruct_summaries);
 
-  Status OpenImpl() override;
-  const Schema& schema() const override;
-  std::string Describe() const override;
+  Result<std::vector<SummaryIndexHit>> Search(
+      const Snapshot& snap) const override;
+  std::string Describe(bool propagate) const override;
 
  protected:
-  Result<bool> NextBatchImpl(RowBatch* batch) override;
+  Result<SummarySet> Summaries(Oid oid, const Snapshot& snap) const override;
 
  private:
   const BaselineClassifierIndex* index_;
   ClassifierProbe probe_;
-  SummaryManager* mgr_;
-  bool propagate_;
   bool reconstruct_summaries_;
-  std::vector<SummaryIndexHit> hits_;
-  size_t pos_ = 0;
 };
 
-/// Keyword-index scan: intersects the posting lists of the keywords over
-/// a Snippet instance's inverted index and emits the matching tuples.
-/// Exact for containsUnion predicates; a candidate superset for
-/// containsSingle (the optimizer re-applies the predicate as a residual).
-class KeywordIndexScanOp : public PhysicalOperator {
+/// Keyword probe: posting-list intersection over a Snippet instance. The
+/// postings carry no versions, so Recheck evaluates containsUnion over the
+/// visible summaries (containsSingle keeps its residual on top).
+class KeywordProbe : public IndexProbe {
  public:
-  KeywordIndexScanOp(const SnippetKeywordIndex* index,
-                     std::vector<std::string> keywords, SummaryManager* mgr,
-                     bool propagate);
-  /// Context form: resolves `table`'s SummaryManager from `ctx`.
-  KeywordIndexScanOp(ExecutionContext* ctx, const SnippetKeywordIndex* index,
-                     std::vector<std::string> keywords,
-                     const std::string& table, bool propagate);
+  KeywordProbe(const SnippetKeywordIndex* index,
+               std::vector<std::string> keywords);
+
+  Result<std::vector<SummaryIndexHit>> Search(
+      const Snapshot& snap) const override;
+  std::string Describe(bool propagate) const override;
+
+ protected:
+  bool Recheck(const Row& row) const override;
+
+ private:
+  const SnippetKeywordIndex* index_;
+  std::vector<std::string> keywords_;
+};
+
+/// Index scan over any IndexProbe: the probe's hits in index order, each
+/// through its fetch step at the plan's snapshot.
+class IndexScanOp : public PhysicalOperator {
+ public:
+  IndexScanOp(std::unique_ptr<IndexProbe> probe, bool propagate);
 
   Status OpenImpl() override;
-  const Schema& schema() const override;
-  std::string Describe() const override;
+  const Schema& schema() const override { return probe_->table()->schema(); }
+  std::string Describe() const override {
+    return probe_->Describe(propagate_);
+  }
 
  protected:
   Result<bool> NextBatchImpl(RowBatch* batch) override;
 
  private:
-  const SnippetKeywordIndex* index_;
-  std::vector<std::string> keywords_;
-  SummaryManager* mgr_;
+  std::unique_ptr<IndexProbe> probe_;
   bool propagate_;
-  std::vector<Oid> oids_;
+  std::vector<SummaryIndexHit> hits_;
   size_t pos_ = 0;
 };
 
@@ -542,8 +584,9 @@ class NestedLoopJoinOp : public PhysicalOperator {
 };
 
 /// Index nested-loop join: probes the inner table's column index with the
-/// outer key expression (equi-join). Preserves the outer order — the
-/// property Rules 5-6 need.
+/// outer key expression (equi-join), resolving inner hits through the
+/// ColumnRangeProbe fetch step. Preserves the outer order — the property
+/// Rules 5-6 need.
 class IndexNLJoinOp : public PhysicalOperator {
  public:
   IndexNLJoinOp(OpPtr outer, Table* inner, std::string inner_column,
@@ -563,21 +606,15 @@ class IndexNLJoinOp : public PhysicalOperator {
 
  private:
   OpPtr outer_;
-  Table* inner_;
-  std::string inner_column_;
+  ColumnRangeProbe inner_;  // Re-aimed at each outer row's key.
   ExprPtr outer_key_;
-  SummaryManager* inner_mgr_;
   bool propagate_inner_;
   Schema schema_;
-  // Bound once per execution in OpenImpl.
-  const BTree* index_ = nullptr;
-  size_t inner_pos_ = 0;
   ChildInput outer_input_;
   Row current_outer_;
   bool outer_valid_ = false;
-  std::vector<Oid> matches_;
+  std::vector<SummaryIndexHit> matches_;
   size_t match_pos_ = 0;
-  std::string join_key_;  // Encoded probe key; re-checked per version.
 };
 
 /// Hash join on one equi-key pair; non-equi residual conjuncts are
@@ -648,10 +685,10 @@ class SummaryJoinOp : public PhysicalOperator {
 
   /// Index strategy: `label_instance`/`label` describe the equality
   /// "left.inst.label = right.inst.label" probe against the right table's
-  /// Summary-BTree.
-  SummaryJoinOp(OpPtr left, Table* right_table, SummaryManager* right_mgr,
-                const SummaryBTree* right_index, std::string label_instance,
-                std::string label, bool propagate_right);
+  /// Summary-BTree; right hits resolve through the probe's fetch step.
+  SummaryJoinOp(OpPtr left, const SummaryBTree* right_index,
+                std::string label_instance, std::string label,
+                bool propagate_right);
 
   Status OpenImpl() override;
   void Close() override;
@@ -681,9 +718,7 @@ class SummaryJoinOp : public PhysicalOperator {
   std::vector<Row> right_rows_;
   size_t right_pos_ = 0;
   // Index strategy state.
-  Table* right_table_ = nullptr;
-  SummaryManager* right_mgr_ = nullptr;
-  const SummaryBTree* right_index_ = nullptr;
+  std::unique_ptr<SummaryBTreeProbe> right_probe_;
   std::string label_instance_;
   std::string label_;
   bool propagate_right_ = true;

@@ -17,14 +17,6 @@ ParallelScanOp::ParallelScanOp(Table* table, SummaryManager* mgr,
   INSIGHT_CHECK(morsels_ != nullptr) << "parallel scan without morsels";
 }
 
-ParallelScanOp::ParallelScanOp(ExecutionContext* ctx, Table* table,
-                               bool propagate,
-                               std::shared_ptr<MorselSource> morsels)
-    : ParallelScanOp(table, ctx->ManagerFor(table->name()), propagate,
-                     std::move(morsels)) {
-  exec_ctx_ = ctx;
-}
-
 Status ParallelScanOp::OpenImpl() {
   ResetExec();
   it_.reset();

@@ -65,9 +65,6 @@ class ParallelScanOp : public PhysicalOperator {
  public:
   ParallelScanOp(Table* table, SummaryManager* mgr, bool propagate,
                  std::shared_ptr<MorselSource> morsels);
-  /// Context form: resolves the table's SummaryManager from `ctx`.
-  ParallelScanOp(ExecutionContext* ctx, Table* table, bool propagate,
-                 std::shared_ptr<MorselSource> morsels);
 
   Status OpenImpl() override;
   const Schema& schema() const override { return table_->schema(); }

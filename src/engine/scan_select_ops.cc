@@ -154,11 +154,6 @@ Result<bool> ChildInput::NextRow(Row* row) {
 SeqScanOp::SeqScanOp(Table* table, SummaryManager* mgr, bool propagate)
     : table_(table), mgr_(mgr), propagate_(propagate && mgr != nullptr) {}
 
-SeqScanOp::SeqScanOp(ExecutionContext* ctx, Table* table, bool propagate)
-    : SeqScanOp(table, ctx->ManagerFor(table->name()), propagate) {
-  exec_ctx_ = ctx;
-}
-
 Status SeqScanOp::OpenImpl() {
   ResetExec();
   pages_skipped_ = 0;
@@ -212,97 +207,104 @@ std::string SeqScanOp::Describe() const {
          (propagate_ ? ", propagate" : "") + ")";
 }
 
-// ---------- IndexScanOp ----------
+// ---------- Index access ----------
 
-IndexScanOp::IndexScanOp(Table* table, std::string column,
-                         std::optional<Value> lower, bool lower_inclusive,
-                         std::optional<Value> upper, bool upper_inclusive,
-                         SummaryManager* mgr, bool propagate)
-    : table_(table),
+Result<bool> IndexProbe::Fetch(const SummaryIndexHit& hit,
+                               const Snapshot& snap, bool propagate,
+                               Row* row) const {
+  Result<bool> resolved = Resolve(hit, snap, propagate, row);
+  if (!resolved.ok()) {
+    if (resolved.status().IsNotFound()) return false;  // No visible version.
+    return resolved.status();
+  }
+  bool has_summaries = *resolved;
+  if (recheck_reads_summaries_ && !has_summaries) {
+    INSIGHT_ASSIGN_OR_RETURN(row->summaries, Summaries(row->oid, snap));
+    has_summaries = true;
+  }
+  if (!Recheck(*row)) return false;
+  if (!propagate) {
+    row->summaries = SummarySet();
+  } else if (!has_summaries) {
+    INSIGHT_ASSIGN_OR_RETURN(row->summaries, Summaries(row->oid, snap));
+  }
+  return true;
+}
+
+Result<bool> IndexProbe::Resolve(const SummaryIndexHit& hit,
+                                 const Snapshot& snap, bool /*propagate*/,
+                                 Row* row) const {
+  row->oid = hit.oid;
+  INSIGHT_ASSIGN_OR_RETURN(row->data, table_->Get(hit.oid, snap));
+  return false;
+}
+
+Result<SummarySet> IndexProbe::Summaries(Oid oid, const Snapshot& snap) const {
+  return mgr_->GetSummaries(oid, snap);
+}
+
+ColumnRangeProbe::ColumnRangeProbe(Table* table, SummaryManager* mgr,
+                                   std::string column,
+                                   std::optional<Value> lower,
+                                   bool lower_inclusive,
+                                   std::optional<Value> upper,
+                                   bool upper_inclusive)
+    : IndexProbe(table, mgr),
       column_(std::move(column)),
       lower_(std::move(lower)),
       lower_inclusive_(lower_inclusive),
       upper_(std::move(upper)),
-      upper_inclusive_(upper_inclusive),
-      mgr_(mgr),
-      propagate_(propagate && mgr != nullptr) {}
-
-IndexScanOp::IndexScanOp(ExecutionContext* ctx, Table* table,
-                         std::string column, std::optional<Value> lower,
-                         bool lower_inclusive, std::optional<Value> upper,
-                         bool upper_inclusive, bool propagate)
-    : IndexScanOp(table, std::move(column), std::move(lower),
-                  lower_inclusive, std::move(upper), upper_inclusive,
-                  ctx->ManagerFor(table->name()), propagate) {
-  exec_ctx_ = ctx;
-}
-
-Status IndexScanOp::OpenImpl() {
-  ResetExec();
-  pos_ = 0;
-  oids_.clear();
-  const BTree* index = table_->GetColumnIndex(column_);
-  if (index == nullptr) {
-    return Status::InvalidArgument("no index on " + table_->name() + "." +
-                                   column_);
-  }
-  INSIGHT_ASSIGN_OR_RETURN(col_pos_, table_->schema().IndexOf(column_));
+      upper_inclusive_(upper_inclusive) {
   // Type-class sentinels when a bound is missing.
-  const Value& probe = lower_.has_value() ? *lower_ : *upper_;
-  const bool string_typed = probe.type() == ValueType::kString;
+  const std::optional<Value>& probe = lower_.has_value() ? lower_ : upper_;
+  const bool string_typed =
+      probe.has_value() && probe->type() == ValueType::kString;
   lower_key_ = lower_.has_value()
                    ? EncodeIndexKey(*lower_)
                    : (string_typed ? MinStringKey() : MinNumericKey());
   upper_key_ = upper_.has_value()
                    ? EncodeIndexKey(*upper_)
                    : (string_typed ? MaxStringKey() : MaxNumericKey());
+}
+
+void ColumnRangeProbe::SetPoint(const Value& key) {
+  lower_ = upper_ = key;
+  lower_inclusive_ = upper_inclusive_ = true;
+  lower_key_ = upper_key_ = EncodeIndexKey(key);
+}
+
+Status ColumnRangeProbe::Bind() {
+  index_ = table_->GetColumnIndex(column_);
+  if (index_ == nullptr) {
+    return Status::InvalidArgument("no index on " + table_->name() + "." +
+                                   column_);
+  }
+  INSIGHT_ASSIGN_OR_RETURN(col_pos_, table_->schema().IndexOf(column_));
+  return Status::OK();
+}
+
+Result<std::vector<SummaryIndexHit>> ColumnRangeProbe::Search(
+    const Snapshot& /*snap*/) const {
   INSIGHT_ASSIGN_OR_RETURN(
       BTree::Iterator it,
-      index->RangeScan(lower_key_, lower_inclusive_, upper_key_,
-                       upper_inclusive_));
-  for (; it.Valid(); it.Next()) oids_.push_back(it.value());
-  return it.status();
+      index_->RangeScan(lower_key_, lower_inclusive_, upper_key_,
+                        upper_inclusive_));
+  std::vector<SummaryIndexHit> hits;
+  for (; it.Valid(); it.Next()) {
+    hits.push_back(SummaryIndexHit{0, 0, static_cast<Oid>(it.value())});
+  }
+  INSIGHT_RETURN_NOT_OK(it.status());
+  return hits;
 }
 
-Result<bool> IndexScanOp::FetchVisible(Oid oid, Tuple* tuple) const {
-  auto row = table_->Get(oid, snapshot());
-  if (!row.ok()) {
-    if (row.status().IsNotFound()) return false;  // Stale index entry.
-    return row.status();
-  }
-  // Re-verify against the probed range: the index holds entries for
-  // every stored version of the row; the one visible here may carry a
-  // different column value.
-  const std::string key = EncodeIndexKey(row.ValueOrDie().at(col_pos_));
-  if (key < lower_key_ || (key == lower_key_ && !lower_inclusive_)) {
-    return false;
-  }
-  if (key > upper_key_ || (key == upper_key_ && !upper_inclusive_)) {
-    return false;
-  }
-  *tuple = std::move(row.ValueOrDie());
-  return true;
+bool ColumnRangeProbe::Recheck(const Row& row) const {
+  // The visible version may carry a different column value than the
+  // version this entry was written for.
+  return KeyInRange(EncodeIndexKey(row.data.at(col_pos_)), lower_key_,
+                    lower_inclusive_, upper_key_, upper_inclusive_);
 }
 
-Result<bool> IndexScanOp::NextBatchImpl(RowBatch* batch) {
-  while (!batch->full() && pos_ < oids_.size()) {
-    const Oid oid = oids_[pos_++];
-    Tuple tuple;
-    INSIGHT_ASSIGN_OR_RETURN(bool visible, FetchVisible(oid, &tuple));
-    if (!visible) continue;
-    Row row;
-    row.data = std::move(tuple);
-    row.oid = oid;
-    if (propagate_) {
-      INSIGHT_ASSIGN_OR_RETURN(row.summaries,
-                               mgr_->GetSummaries(oid, snapshot()));
-    }
-    batch->Push(std::move(row));
-  }
-  return !batch->empty();
-}
-
-std::string IndexScanOp::Describe() const {
+std::string ColumnRangeProbe::Describe(bool propagate) const {
   std::string out = "IndexScan(" + table_->name() + "." + column_;
   if (lower_.has_value()) {
     out += lower_inclusive_ ? ", >= " : ", > ";
@@ -312,59 +314,36 @@ std::string IndexScanOp::Describe() const {
     out += upper_inclusive_ ? ", <= " : ", < ";
     out += upper_->ToString();
   }
-  if (propagate_) out += ", propagate";
+  if (propagate) out += ", propagate";
   return out + ")";
 }
 
-// ---------- SummaryIndexScanOp ----------
+SummaryBTreeProbe::SummaryBTreeProbe(const SummaryBTree* index,
+                                     ClassifierProbe probe)
+    : IndexProbe(index->mgr()->base(), index->mgr()),
+      index_(index),
+      probe_(std::move(probe)) {}
 
-SummaryIndexScanOp::SummaryIndexScanOp(const SummaryBTree* index,
-                                       ClassifierProbe probe,
-                                       SummaryManager* mgr, bool propagate)
-    : index_(index), probe_(std::move(probe)), mgr_(mgr),
-      propagate_(propagate) {}
-
-SummaryIndexScanOp::SummaryIndexScanOp(ExecutionContext* ctx,
-                                       const SummaryBTree* index,
-                                       ClassifierProbe probe,
-                                       const std::string& table,
-                                       bool propagate)
-    : SummaryIndexScanOp(index, std::move(probe), ctx->ManagerFor(table),
-                         propagate) {
-  exec_ctx_ = ctx;
+Result<std::vector<SummaryIndexHit>> SummaryBTreeProbe::Search(
+    const Snapshot& snap) const {
+  return index_->Search(probe_, snap);
 }
 
-const Schema& SummaryIndexScanOp::schema() const {
-  return mgr_->base()->schema();
-}
-
-Status SummaryIndexScanOp::OpenImpl() {
-  ResetExec();
-  pos_ = 0;
-  INSIGHT_ASSIGN_OR_RETURN(hits_, index_->Search(probe_, snapshot()));
-  return Status::OK();
-}
-
-Result<bool> SummaryIndexScanOp::NextBatchImpl(RowBatch* batch) {
-  while (!batch->full() && pos_ < hits_.size()) {
-    const SummaryIndexHit& hit = hits_[pos_++];
-    Oid oid = kInvalidOid;
-    Row row;
-    if (propagate_) {
-      INSIGHT_ASSIGN_OR_RETURN(
-          row.data, index_->FetchDataTupleWithSummaries(hit, &row.summaries,
-                                                        &oid, snapshot()));
-    } else {
-      INSIGHT_ASSIGN_OR_RETURN(row.data,
-                               index_->FetchDataTuple(hit, &oid, snapshot()));
-    }
-    row.oid = oid;
-    batch->Push(std::move(row));
+Result<bool> SummaryBTreeProbe::Resolve(const SummaryIndexHit& hit,
+                                        const Snapshot& snap, bool propagate,
+                                        Row* row) const {
+  if (propagate) {
+    INSIGHT_ASSIGN_OR_RETURN(row->data,
+                             index_->FetchDataTupleWithSummaries(
+                                 hit, &row->summaries, &row->oid, snap));
+    return true;
   }
-  return !batch->empty();
+  INSIGHT_ASSIGN_OR_RETURN(row->data,
+                           index_->FetchDataTuple(hit, &row->oid, snap));
+  return false;
 }
 
-std::string SummaryIndexScanOp::Describe() const {
+std::string SummaryBTreeProbe::Describe(bool propagate) const {
   std::string out = "SummaryIndexScan(" + probe_.label;
   if (probe_.lower.has_value()) {
     out += probe_.lower_inclusive ? " >= " : " > ";
@@ -374,121 +353,94 @@ std::string SummaryIndexScanOp::Describe() const {
     out += probe_.upper_inclusive ? " <= " : " < ";
     out += std::to_string(*probe_.upper);
   }
-  if (propagate_) out += ", propagate";
+  if (propagate) out += ", propagate";
   out += index_->pointer_mode() == SummaryBTree::PointerMode::kBackward
              ? ", backward-ptrs"
              : ", conventional-ptrs";
   return out + ")";
 }
 
-// ---------- BaselineIndexScanOp ----------
-
-BaselineIndexScanOp::BaselineIndexScanOp(
-    const BaselineClassifierIndex* index, ClassifierProbe probe,
-    SummaryManager* mgr, bool propagate, bool reconstruct_summaries)
-    : index_(index),
+BaselineProbe::BaselineProbe(const BaselineClassifierIndex* index,
+                             ClassifierProbe probe,
+                             bool reconstruct_summaries)
+    : IndexProbe(index->mgr()->base(), index->mgr()),
+      index_(index),
       probe_(std::move(probe)),
-      mgr_(mgr),
-      propagate_(propagate),
       reconstruct_summaries_(reconstruct_summaries) {}
 
-const Schema& BaselineIndexScanOp::schema() const {
-  return mgr_->base()->schema();
+Result<std::vector<SummaryIndexHit>> BaselineProbe::Search(
+    const Snapshot& snap) const {
+  return index_->Search(probe_, snap);
 }
 
-Status BaselineIndexScanOp::OpenImpl() {
-  ResetExec();
-  pos_ = 0;
-  INSIGHT_ASSIGN_OR_RETURN(hits_, index_->Search(probe_));
-  return Status::OK();
+Result<SummarySet> BaselineProbe::Summaries(Oid oid,
+                                            const Snapshot& snap) const {
+  if (!reconstruct_summaries_) return IndexProbe::Summaries(oid, snap);
+  // Fig. 12 arm: re-form the object from its normalized primitives.
+  INSIGHT_ASSIGN_OR_RETURN(SummaryObject obj,
+                           index_->ReconstructObject(oid, snap));
+  return SummarySet({std::move(obj)});
 }
 
-Result<bool> BaselineIndexScanOp::NextBatchImpl(RowBatch* batch) {
-  while (!batch->full() && pos_ < hits_.size()) {
-    const SummaryIndexHit& hit = hits_[pos_++];
-    Oid oid = kInvalidOid;
-    Row row;
-    INSIGHT_ASSIGN_OR_RETURN(row.data, index_->FetchDataTuple(hit, &oid));
-    row.oid = oid;
-    if (propagate_) {
-      if (reconstruct_summaries_) {
-        // Fig. 12 arm: re-form the object from its normalized primitives.
-        INSIGHT_ASSIGN_OR_RETURN(SummaryObject obj,
-                                 index_->ReconstructObject(oid));
-        row.summaries = SummarySet({std::move(obj)});
-      } else {
-        INSIGHT_ASSIGN_OR_RETURN(row.summaries,
-                                 mgr_->GetSummaries(oid, snapshot()));
-      }
-    }
-    batch->Push(std::move(row));
-  }
-  return !batch->empty();
-}
-
-std::string BaselineIndexScanOp::Describe() const {
+std::string BaselineProbe::Describe(bool propagate) const {
   std::string out = "BaselineIndexScan(" + probe_.label;
-  if (propagate_) {
+  if (propagate) {
     out += reconstruct_summaries_ ? ", propagate:reconstruct"
                                   : ", propagate:denormalized";
   }
   return out + ")";
 }
 
-// ---------- KeywordIndexScanOp ----------
-
-KeywordIndexScanOp::KeywordIndexScanOp(const SnippetKeywordIndex* index,
-                                       std::vector<std::string> keywords,
-                                       SummaryManager* mgr, bool propagate)
-    : index_(index),
-      keywords_(std::move(keywords)),
-      mgr_(mgr),
-      propagate_(propagate) {}
-
-KeywordIndexScanOp::KeywordIndexScanOp(ExecutionContext* ctx,
-                                       const SnippetKeywordIndex* index,
-                                       std::vector<std::string> keywords,
-                                       const std::string& table,
-                                       bool propagate)
-    : KeywordIndexScanOp(index, std::move(keywords), ctx->ManagerFor(table),
-                         propagate) {
-  exec_ctx_ = ctx;
+KeywordProbe::KeywordProbe(const SnippetKeywordIndex* index,
+                           std::vector<std::string> keywords)
+    : IndexProbe(index->mgr()->base(), index->mgr()),
+      index_(index),
+      keywords_(std::move(keywords)) {
+  recheck_reads_summaries_ = true;
 }
 
-const Schema& KeywordIndexScanOp::schema() const {
-  return mgr_->base()->schema();
+Result<std::vector<SummaryIndexHit>> KeywordProbe::Search(
+    const Snapshot& /*snap*/) const {
+  INSIGHT_ASSIGN_OR_RETURN(std::vector<Oid> oids,
+                           index_->SearchAll(keywords_));
+  std::vector<SummaryIndexHit> hits;
+  hits.reserve(oids.size());
+  for (Oid oid : oids) hits.push_back(SummaryIndexHit{0, 0, oid});
+  return hits;
 }
 
-Status KeywordIndexScanOp::OpenImpl() {
+bool KeywordProbe::Recheck(const Row& row) const {
+  const SummaryObject* obj =
+      row.summaries.GetSummaryObject(index_->instance_name());
+  return obj != nullptr && obj->ContainsUnion(keywords_);
+}
+
+std::string KeywordProbe::Describe(bool propagate) const {
+  return "KeywordIndexScan(" + Join(keywords_, ", ") +
+         (propagate ? ", propagate)" : ")");
+}
+
+IndexScanOp::IndexScanOp(std::unique_ptr<IndexProbe> probe, bool propagate)
+    : probe_(std::move(probe)),
+      propagate_(propagate && probe_->mgr() != nullptr) {}
+
+Status IndexScanOp::OpenImpl() {
   ResetExec();
   pos_ = 0;
-  INSIGHT_ASSIGN_OR_RETURN(oids_, index_->SearchAll(keywords_));
+  INSIGHT_RETURN_NOT_OK(probe_->Bind());
+  INSIGHT_ASSIGN_OR_RETURN(hits_, probe_->Search(snapshot()));
   return Status::OK();
 }
 
-Result<bool> KeywordIndexScanOp::NextBatchImpl(RowBatch* batch) {
-  while (!batch->full() && pos_ < oids_.size()) {
-    const Oid oid = oids_[pos_++];
-    auto data = mgr_->base()->Get(oid, snapshot());
-    if (!data.ok()) {
-      if (data.status().IsNotFound()) continue;
-      return data.status();
-    }
+Result<bool> IndexScanOp::NextBatchImpl(RowBatch* batch) {
+  while (!batch->full() && pos_ < hits_.size()) {
     Row row;
-    row.data = std::move(data.ValueOrDie());
-    row.oid = oid;
-    if (propagate_) {
-      INSIGHT_ASSIGN_OR_RETURN(row.summaries,
-                               mgr_->GetSummaries(oid, snapshot()));
-    }
-    batch->Push(std::move(row));
+    INSIGHT_ASSIGN_OR_RETURN(
+        bool visible, probe_->Fetch(hits_[pos_++], snapshot(), propagate_,
+                                    &row));
+    if (visible) batch->Push(std::move(row));
   }
   return !batch->empty();
-}
-
-std::string KeywordIndexScanOp::Describe() const {
-  return "KeywordIndexScan(" + Join(keywords_, ", ") +
-         (propagate_ ? ", propagate)" : ")");
 }
 
 std::string VectorSourceOp::Describe() const {

@@ -2,6 +2,7 @@
 #define INSIGHTNOTES_INDEX_KEY_CODEC_H_
 
 #include <string>
+#include <string_view>
 
 #include "types/value.h"
 
@@ -25,6 +26,14 @@ std::string MinNumericKey();
 std::string MaxNumericKey();
 std::string MinStringKey();
 std::string MaxStringKey();
+
+/// True when `key` lies within the range (each bound inclusive or strict).
+inline bool KeyInRange(std::string_view key, std::string_view lower,
+                       bool lower_inclusive, std::string_view upper,
+                       bool upper_inclusive) {
+  if (key < lower || (key == lower && !lower_inclusive)) return false;
+  return key < upper || (key == upper && upper_inclusive);
+}
 
 }  // namespace insight
 

@@ -120,7 +120,9 @@ class RoutedClient {
   explicit RoutedClient(std::vector<Endpoint> endpoints)
       : endpoints_(std::move(endpoints)) {}
 
-  /// True when the statement's first keyword marks it read-only.
+  /// True when the statement's first keyword marks it read-only. The
+  /// route is chosen before any server parses the statement, so the SQL
+  /// text is all there is to go on.
   static bool IsReadStatement(const std::string& sql);
 
   /// Returns a live connection to endpoint `i`, dialing if needed.

@@ -5,7 +5,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <cctype>
 #include <cerrno>
 #include <cstring>
 #include <chrono>
@@ -141,26 +140,6 @@ void InsightServer::AdoptConnection(int fd) {
   });
 }
 
-namespace {
-
-/// First-keyword read detection, mirroring RoutedClient: statements that
-/// never journal (and so never move the durable frontier) do not get a
-/// commit LSN stamped on their ResultDone.
-bool IsReadOnlySql(const std::string& sql) {
-  size_t i = 0;
-  while (i < sql.size() && !std::isalpha(static_cast<unsigned char>(sql[i]))) {
-    ++i;
-  }
-  std::string word;
-  while (i < sql.size() && std::isalpha(static_cast<unsigned char>(sql[i]))) {
-    word.push_back(static_cast<char>(
-        std::toupper(static_cast<unsigned char>(sql[i++]))));
-  }
-  return word == "SELECT" || word == "EXPLAIN" || word == "ZOOM";
-}
-
-}  // namespace
-
 void InsightServer::HandleQuery(Session* session, const std::string& sql,
                                 uint64_t wait_lsn) {
   EngineMetrics& m = EngineMetrics::Get();
@@ -226,7 +205,7 @@ void InsightServer::HandleQuery(Session* session, const std::string& sql,
   // forced the log, so durable >= this statement's last LSN here, and a
   // replica that has applied through it has applied this write.
   uint64_t commit_lsn = 0;
-  if (db_->wal() != nullptr && !IsReadOnlySql(sql)) {
+  if (db_->wal() != nullptr && !result.read_only) {
     commit_lsn = db_->wal()->durable_lsn();
   }
   session->SendFrame(FrameType::kResultDone,

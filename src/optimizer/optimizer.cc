@@ -862,8 +862,8 @@ Result<Optimizer::Lowered> Optimizer::LowerAccessPath(
         std::vector<OpPtr> partitions;
         partitions.reserve(workers);
         for (size_t w = 0; w < workers; ++w) {
-          auto scan = std::make_unique<ParallelScanOp>(exec, info->table,
-                                                       propagate, morsels);
+          auto scan = std::make_unique<ParallelScanOp>(
+              info->table, info->mgr, propagate, morsels);
           scan->SetZonePredicate(zone_pred);  // Copy: one per partition.
           OpPtr part = std::move(scan);
           if (!data_conjuncts.empty()) {
@@ -894,7 +894,8 @@ Result<Optimizer::Lowered> Optimizer::LowerAccessPath(
         // Cross-partition order is nondeterministic: no interesting order.
         return Lowered{std::move(op), std::nullopt};
       }
-      auto scan = std::make_unique<SeqScanOp>(exec, info->table, propagate);
+      auto scan = std::make_unique<SeqScanOp>(info->table, info->mgr,
+                                              propagate);
       scan->SetZonePredicate(std::move(zone_pred));
       op = std::move(scan);
       break;
@@ -927,9 +928,11 @@ Result<Optimizer::Lowered> Optimizer::LowerAccessPath(
         default:
           break;
       }
-      op = std::make_unique<IndexScanOp>(ctx_->exec_context(), info->table,
-                                         pred.column, lower, lower_inc, upper,
-                                         upper_inc, propagate);
+      op = std::make_unique<IndexScanOp>(
+          std::make_unique<ColumnRangeProbe>(info->table, info->mgr,
+                                             pred.column, lower, lower_inc,
+                                             upper, upper_inc),
+          propagate);
       data_conjuncts.erase(data_conjuncts.begin() +
                            static_cast<long>(best->conjunct));
       break;
@@ -937,9 +940,10 @@ Result<Optimizer::Lowered> Optimizer::LowerAccessPath(
     case Candidate::Kind::kSummaryIndex: {
       auto pred =
           *MatchIndexablePredicate(summary_conjuncts[best->conjunct].get());
-      op = std::make_unique<SummaryIndexScanOp>(
-          ctx_->exec_context(), info->SummaryIndexFor(pred.instance),
-          ProbeFor(pred), info->table->name(), propagate);
+      op = std::make_unique<IndexScanOp>(
+          std::make_unique<SummaryBTreeProbe>(
+              info->SummaryIndexFor(pred.instance), ProbeFor(pred)),
+          propagate);
       summary_conjuncts.erase(summary_conjuncts.begin() +
                               static_cast<long>(best->conjunct));
       break;
@@ -947,9 +951,11 @@ Result<Optimizer::Lowered> Optimizer::LowerAccessPath(
     case Candidate::Kind::kBaselineIndex: {
       auto pred =
           *MatchIndexablePredicate(summary_conjuncts[best->conjunct].get());
-      op = std::make_unique<BaselineIndexScanOp>(
-          info->BaselineIndexFor(pred.instance), ProbeFor(pred), info->mgr,
-          propagate, /*reconstruct_summaries=*/false);
+      op = std::make_unique<IndexScanOp>(
+          std::make_unique<BaselineProbe>(info->BaselineIndexFor(pred.instance),
+                                          ProbeFor(pred),
+                                          /*reconstruct_summaries=*/false),
+          propagate);
       summary_conjuncts.erase(summary_conjuncts.begin() +
                               static_cast<long>(best->conjunct));
       break;
@@ -958,11 +964,13 @@ Result<Optimizer::Lowered> Optimizer::LowerAccessPath(
       const auto* func = dynamic_cast<const SummaryFuncExpr*>(
           summary_conjuncts[best->conjunct].get());
       const bool exact = func->kind() == SummaryFuncKind::kContainsUnion;
-      op = std::make_unique<KeywordIndexScanOp>(
-          ctx_->exec_context(), info->KeywordIndexFor(func->instance()),
-          func->keywords(), info->table->name(), propagate || !exact);
+      op = std::make_unique<IndexScanOp>(
+          std::make_unique<KeywordProbe>(
+              info->KeywordIndexFor(func->instance()), func->keywords()),
+          propagate || !exact);
       if (exact) {
-        // containsUnion == posting-list intersection: no residual.
+        // containsUnion == posting-list intersection re-checked at the
+        // snapshot by the probe: no residual.
         summary_conjuncts.erase(summary_conjuncts.begin() +
                                 static_cast<long>(best->conjunct));
       }
@@ -1186,7 +1194,6 @@ Result<Optimizer::Lowered> Optimizer::LowerRecImpl(const LogicalNode& node) {
       // Index strategy: equality of the same instance.label on both
       // sides, right side a bare scan with a Summary-BTree.
       bool index_join = false;
-      const RelationInfo* right_info = nullptr;
       const SummaryBTree* right_index = nullptr;
       std::string instance;
       std::string label;
@@ -1202,7 +1209,8 @@ Result<Optimizer::Lowered> Optimizer::LowerRecImpl(const LogicalNode& node) {
             lf->kind() == SummaryFuncKind::kLabelValue &&
             rf->kind() == SummaryFuncKind::kLabelValue &&
             EqualsIgnoreCase(lf->label(), rf->label())) {
-          INSIGHT_ASSIGN_OR_RETURN(right_info, ctx_->Get(right_node->table));
+          INSIGHT_ASSIGN_OR_RETURN(const RelationInfo* right_info,
+                                   ctx_->Get(right_node->table));
           right_index = right_info->SummaryIndexFor(rf->instance());
           if (right_index != nullptr) {
             index_join = true;
@@ -1225,8 +1233,7 @@ Result<Optimizer::Lowered> Optimizer::LowerRecImpl(const LogicalNode& node) {
       out.order = order;
       if (index_join) {
         out.op = std::make_unique<SummaryJoinOp>(
-            std::move(left.op), right_info->table, right_info->mgr,
-            right_index, instance, label,
+            std::move(left.op), right_index, instance, label,
             right_node->propagate_summaries);
       } else {
         INSIGHT_ASSIGN_OR_RETURN(Lowered right, LowerRec(*node.children[1]));
@@ -1261,8 +1268,8 @@ Result<Optimizer::Lowered> Optimizer::LowerRecImpl(const LogicalNode& node) {
             ClassifierProbe probe;
             probe.label = func->label();
             Lowered out;
-            out.op = std::make_unique<SummaryIndexScanOp>(
-                ctx_->exec_context(), index, probe, info->table->name(),
+            out.op = std::make_unique<IndexScanOp>(
+                std::make_unique<SummaryBTreeProbe>(index, probe),
                 node.children[0]->propagate_summaries);
             out.order = PhysOrder{func->instance(), func->label()};
             return out;

@@ -109,8 +109,9 @@ class Optimizer {
   Result<Lowered> LowerRecImpl(const LogicalNode& node);
 
   /// Leaf access-path selection over a chain of selections ending at a
-  /// scan: picks SeqScan / IndexScan / SummaryIndexScan / BaselineIndexScan
-  /// by estimated cost and wraps residual predicates.
+  /// scan: picks SeqScan or an IndexScan over one of the index probes
+  /// (column, Summary-BTree, baseline, keyword) by estimated cost and
+  /// wraps residual predicates.
   Result<Lowered> LowerAccessPath(const LogicalNode& node);
 
   /// The sketch-tier consultation policy derived from the options.

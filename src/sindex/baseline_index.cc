@@ -116,44 +116,50 @@ Status BaselineClassifierIndex::OnObjectChanged(Oid oid,
 }
 
 Result<std::vector<SummaryIndexHit>> BaselineClassifierIndex::Search(
-    const ClassifierProbe& probe) const {
+    const ClassifierProbe& probe, const Snapshot& snap) const {
   const int64_t max_count = [&] {
     int64_t m = 9;
     for (int i = 1; i < options_.count_width; ++i) m = m * 10 + 9;
     return m;
   }();
-  const std::string lower =
-      DerivedKey(probe.label, probe.lower.value_or(0));
-  const std::string upper =
-      DerivedKey(probe.label, probe.upper.value_or(max_count));
+  const std::string lower = EncodeIndexKey(
+      Value::String(DerivedKey(probe.label, probe.lower.value_or(0))));
+  const std::string upper = EncodeIndexKey(
+      Value::String(DerivedKey(probe.label, probe.upper.value_or(max_count))));
   const BTree* idx = normalized_->GetColumnIndex("derived");
   INSIGHT_ASSIGN_OR_RETURN(
       BTree::Iterator it,
-      idx->RangeScan(EncodeIndexKey(Value::String(lower)),
-                     probe.lower_inclusive,
-                     EncodeIndexKey(Value::String(upper)),
+      idx->RangeScan(lower, probe.lower_inclusive, upper,
                      probe.upper_inclusive));
   std::vector<SummaryIndexHit> hits;
   for (; it.Valid(); it.Next()) {
     // Index payload is the normalized-row OID; resolve to the data tuple
-    // OID (first level of indirection).
-    INSIGHT_ASSIGN_OR_RETURN(Tuple row, normalized_->Get(it.value()));
+    // OID (first level of indirection) through the version `snap` sees.
+    auto row = normalized_->Get(it.value(), snap);
+    if (!row.ok()) {
+      if (row.status().IsNotFound()) continue;  // No visible version.
+      return row.status();
+    }
+    if (!KeyInRange(EncodeIndexKey(row->at(3)), lower, probe.lower_inclusive,
+                    upper, probe.upper_inclusive)) {
+      continue;  // The visible version carries another count.
+    }
     hits.push_back(SummaryIndexHit{
-        row.at(2).AsInt(), static_cast<uint64_t>(row.at(0).AsInt()),
-        static_cast<Oid>(row.at(0).AsInt())});
+        row->at(2).AsInt(), static_cast<uint64_t>(row->at(0).AsInt()),
+        static_cast<Oid>(row->at(0).AsInt())});
   }
   INSIGHT_RETURN_NOT_OK(it.status());
   return hits;
 }
 
 Result<Tuple> BaselineClassifierIndex::FetchDataTuple(
-    const SummaryIndexHit& hit, Oid* oid_out) const {
+    const SummaryIndexHit& hit, Oid* oid_out, const Snapshot& snap) const {
   if (oid_out != nullptr) *oid_out = hit.oid;
-  return mgr_->base()->Get(hit.oid);  // OID-index probe + heap read.
+  return mgr_->base()->Get(hit.oid, snap);  // OID-index probe + heap read.
 }
 
 Result<SummaryObject> BaselineClassifierIndex::ReconstructObject(
-    Oid tuple_oid) const {
+    Oid tuple_oid, const Snapshot& snap) const {
   const BTree* by_tuple = normalized_->GetColumnIndex("tuple_oid");
   INSIGHT_ASSIGN_OR_RETURN(
       std::vector<uint64_t> rows,
@@ -174,10 +180,14 @@ Result<SummaryObject> BaselineClassifierIndex::ReconstructObject(
     obj.reps[i] = Representative{labels_[i], 0, 0};
   }
   for (uint64_t row_oid : rows) {
-    INSIGHT_ASSIGN_OR_RETURN(Tuple row, normalized_->Get(row_oid));
+    auto row = normalized_->Get(row_oid, snap);
+    if (!row.ok()) {
+      if (row.status().IsNotFound()) continue;  // Not visible at `snap`.
+      return row.status();
+    }
     for (size_t i = 0; i < labels_.size(); ++i) {
-      if (EqualsIgnoreCase(labels_[i], row.at(1).AsString())) {
-        obj.reps[i].count = row.at(2).AsInt();
+      if (EqualsIgnoreCase(labels_[i], row->at(1).AsString())) {
+        obj.reps[i].count = row->at(2).AsInt();
         break;
       }
     }

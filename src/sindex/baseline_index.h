@@ -34,19 +34,28 @@ class BaselineClassifierIndex {
   /// Deregisters the maintenance subscription.
   ~BaselineClassifierIndex();
 
-  /// Hits in ascending count order. `payload` is the matching tuple's OID.
+  /// Hits in ascending count order, as of `snap`. `payload` is the
+  /// matching tuple's OID. The replica is a versioned table whose derived
+  /// B-Tree keeps entries for every row version, so each entry is
+  /// resolved to the replica row visible at `snap` and its derived value
+  /// re-checked against the probe range.
   Result<std::vector<SummaryIndexHit>> Search(
-      const ClassifierProbe& probe) const;
+      const ClassifierProbe& probe,
+      const Snapshot& snap = Snapshot::Latest()) const;
 
   /// Data-tuple fetch through the OID index (the scheme's extra join).
   Result<Tuple> FetchDataTuple(const SummaryIndexHit& hit,
-                               Oid* oid_out = nullptr) const;
+                               Oid* oid_out = nullptr,
+                               const Snapshot& snap = Snapshot::Latest()) const;
 
   /// Re-forms the Classifier summary object of one tuple from its
-  /// normalized rows — the propagation path measured in Fig. 12. Element
-  /// lists cannot be reconstructed (normalization discards them); only
-  /// Rep[] is rebuilt.
-  Result<SummaryObject> ReconstructObject(Oid tuple_oid) const;
+  /// normalized rows visible at `snap` — the propagation path measured in
+  /// Fig. 12. Element lists cannot be reconstructed (normalization
+  /// discards them); only Rep[] is rebuilt.
+  Result<SummaryObject> ReconstructObject(
+      Oid tuple_oid, const Snapshot& snap = Snapshot::Latest()) const;
+
+  SummaryManager* mgr() const { return mgr_; }
 
   /// Bytes of the normalized replica (heap + its OID index).
   uint64_t replica_bytes() const;

@@ -26,6 +26,7 @@ Result<std::unique_ptr<SnippetKeywordIndex>> SnippetKeywordIndex::Create(
   auto index = std::unique_ptr<SnippetKeywordIndex>(
       new SnippetKeywordIndex(storage, mgr));
   index->instance_id_ = inst->id();
+  index->instance_name_ = inst->name();
   INSIGHT_ASSIGN_OR_RETURN(
       index->file_,
       storage->CreateFile(mgr->base()->name() + ".kw." +

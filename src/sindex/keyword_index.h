@@ -23,9 +23,11 @@ namespace insight {
 ///
 /// Exactness: containsUnion(kw1..kwn) is TRUE iff every keyword appears
 /// in some snippet of the tuple, which is precisely the intersection of
-/// the per-keyword posting lists — no residual needed. containsSingle
-/// additionally requires one snippet to hold all keywords, so the
-/// intersection is a candidate superset and the predicate is re-checked.
+/// the per-keyword posting lists in the latest state. The postings carry
+/// no versions, so a reader re-checks each hit against the summaries its
+/// snapshot sees. containsSingle additionally requires one snippet to
+/// hold all keywords, so the intersection is a candidate superset and the
+/// predicate is re-checked.
 class SnippetKeywordIndex {
  public:
   struct Options {
@@ -51,6 +53,8 @@ class SnippetKeywordIndex {
   Status OnObjectChanged(Oid oid, const SummaryObject* before,
                          const SummaryObject* after);
 
+  SummaryManager* mgr() const { return mgr_; }
+  const std::string& instance_name() const { return instance_name_; }
   uint64_t num_entries() const { return tree_->num_entries(); }
   uint64_t size_bytes() const;
 
@@ -63,6 +67,7 @@ class SnippetKeywordIndex {
   StorageManager* storage_;
   SummaryManager* mgr_;
   uint32_t instance_id_ = 0;
+  std::string instance_name_;
   FileId file_ = 0;
   std::unique_ptr<BTree> tree_;
   std::optional<SummaryManager::ListenerId> listener_id_;

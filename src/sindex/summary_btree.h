@@ -124,6 +124,7 @@ class SummaryBTree {
   uint32_t height() const { return tree_->height(); }
   int count_width() const { return width_; }
   PointerMode pointer_mode() const { return options_.pointer_mode; }
+  SummaryManager* mgr() const { return mgr_; }
 
   /// Bytes of index storage (the tree's page file).
   uint64_t size_bytes() const;

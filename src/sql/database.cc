@@ -857,10 +857,7 @@ Result<QueryResult> Database::Execute(const std::string& sql,
                                       uint64_t* txn_handle) {
   INSIGHT_RETURN_NOT_OK(CheckStatementSize(sql));
   INSIGHT_ASSIGN_OR_RETURN(Statement stmt, ParseStatement(sql));
-  if (role() == Role::kReplica &&
-      stmt.kind != Statement::Kind::kSelect &&
-      stmt.kind != Statement::Kind::kExplain &&
-      stmt.kind != Statement::Kind::kZoomIn) {
+  if (role() == Role::kReplica && !stmt.is_read()) {
     // Redirect error: routed clients recognize kReadOnly and resend the
     // statement to the primary. BEGIN is rejected too — explicit
     // transactions exist to write.
@@ -876,8 +873,12 @@ Result<QueryResult> Database::Execute(const std::string& sql,
       return ExecuteRollback(txn_handle);
     case Statement::Kind::kSelect:
     case Statement::Kind::kExplain:
-    case Statement::Kind::kZoomIn:
-      return ExecuteRead(stmt, sql, txn_handle);
+    case Statement::Kind::kZoomIn: {
+      INSIGHT_ASSIGN_OR_RETURN(QueryResult result,
+                               ExecuteRead(stmt, sql, txn_handle));
+      result.read_only = true;
+      return result;
+    }
     default:
       return ExecuteWrite(stmt, txn_handle);
   }

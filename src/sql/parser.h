@@ -58,6 +58,12 @@ struct Statement {
   Kind kind = Kind::kSelect;
   std::unique_ptr<SelectStatement> select;  // kSelect / kExplain.
 
+  /// SELECT, EXPLAIN and ZOOM IN: the statements that never write.
+  bool is_read() const {
+    return kind == Kind::kSelect || kind == Kind::kExplain ||
+           kind == Kind::kZoomIn;
+  }
+
   // DDL / utility payloads.
   std::string table;
   Schema schema;                      // kCreateTable.

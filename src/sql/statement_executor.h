@@ -21,6 +21,9 @@ struct QueryResult {
   std::vector<SummarySet> summaries;  // Parallel: propagated summary sets.
   std::string message;                // DDL/utility acknowledgements.
   std::vector<Annotation> annotations;  // ZOOM IN payload.
+  /// The parsed statement was a read (SELECT, EXPLAIN, ZOOM IN): it never
+  /// journals, so the server stamps no commit LSN on its reply.
+  bool read_only = false;
 
   /// ASCII-table rendering (summaries shown inline when present).
   std::string ToString(size_t max_rows = 25) const;

@@ -191,7 +191,9 @@ TEST_F(KeywordIndexTest, BulkBuildMatchesIncremental) {
 
 TEST_F(KeywordIndexTest, ScanOperatorFetchesTuples) {
   AddLong(3, "searchable snippet with osprey keyword.");
-  KeywordIndexScanOp scan(index.get(), {"osprey"}, db.mgr.get(), true);
+  IndexScanOp scan(std::make_unique<KeywordProbe>(
+                       index.get(), std::vector<std::string>{"osprey"}),
+                   true);
   auto rows = CollectRows(&scan).ValueOrDie();
   ASSERT_EQ(rows.size(), 1u);
   EXPECT_EQ(rows[0].oid, 3u);

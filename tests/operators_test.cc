@@ -34,8 +34,10 @@ TEST(SeqScanTest, NoPropagationSkipsSummaries) {
 TEST(IndexScanTest, RangeOverDataColumn) {
   TestDb db(20);
   ASSERT_TRUE(db.birds->CreateColumnIndex("weight").ok());
-  IndexScanOp scan(db.birds, "weight", Value::Double(2.0), true,
-                   Value::Double(3.0), true, db.mgr.get(), false);
+  IndexScanOp scan(std::make_unique<ColumnRangeProbe>(
+                       db.birds, db.mgr.get(), "weight", Value::Double(2.0),
+                       true, Value::Double(3.0), true),
+                   false);
   auto rows = CollectRows(&scan);
   ASSERT_TRUE(rows.ok());
   for (const Row& row : *rows) {
@@ -48,8 +50,10 @@ TEST(IndexScanTest, RangeOverDataColumn) {
 
 TEST(IndexScanTest, MissingIndexIsError) {
   TestDb db(5);
-  IndexScanOp scan(db.birds, "name", std::nullopt, true,
-                   std::nullopt, true, nullptr, false);
+  IndexScanOp scan(std::make_unique<ColumnRangeProbe>(
+                       db.birds, nullptr, "name", std::nullopt, true,
+                       std::nullopt, true),
+                   false);
   EXPECT_TRUE(scan.Open().IsInvalidArgument());
 }
 
@@ -278,8 +282,7 @@ TEST(SummaryJoinTest, IndexStrategyEqualityProbe) {
       &right_db.storage, &right_db.pool, right_db.mgr.get(), "ClassBird1",
       SummaryBTree::Options{});
 
-  SummaryJoinOp join(left_db.Scan(true), right_db.birds,
-                     right_db.mgr.get(), right_index.get(), "ClassBird1",
+  SummaryJoinOp join(left_db.Scan(true), right_index.get(), "ClassBird1",
                      "Disease", true);
   auto rows = CollectRows(&join);
   ASSERT_TRUE(rows.ok());
@@ -581,8 +584,10 @@ const PlanCase kPlanCases[] = {
      [](TestDb& db) -> OpPtr {
        db.birds->CreateColumnIndex("weight").ok();
        return std::make_unique<IndexScanOp>(
-           db.birds, "weight", Value::Double(1.5), true, Value::Double(5.0),
-           true, db.mgr.get(), true);
+           std::make_unique<ColumnRangeProbe>(db.birds, db.mgr.get(), "weight",
+                                              Value::Double(1.5), true,
+                                              Value::Double(5.0), true),
+           true);
      }},
     {"Select",
      [](TestDb& db) -> OpPtr {
@@ -680,8 +685,7 @@ const PlanCase kPlanCases[] = {
        const SummaryBTree* index = db.Own(*SummaryBTree::Create(
            &db.storage, &db.pool, db.mgr.get(), "ClassBird1",
            SummaryBTree::Options{}));
-       return std::make_unique<SummaryJoinOp>(db.Scan(true), db.birds,
-                                              db.mgr.get(), index,
+       return std::make_unique<SummaryJoinOp>(db.Scan(true), index,
                                               "ClassBird1", "Disease", true);
      }},
     {"SummaryIndexScan",
@@ -689,8 +693,21 @@ const PlanCase kPlanCases[] = {
        const SummaryBTree* index = db.Own(*SummaryBTree::Create(
            &db.storage, &db.pool, db.mgr.get(), "ClassBird1",
            SummaryBTree::Options{}));
-       return std::make_unique<SummaryIndexScanOp>(
-           index, ClassifierProbe::Range("Disease", 0, 100), db.mgr.get(),
+       return std::make_unique<IndexScanOp>(
+           std::make_unique<SummaryBTreeProbe>(
+               index, ClassifierProbe::Range("Disease", 0, 100)),
+           true);
+     }},
+    // Conventional pointers resolve through the summary-storage row.
+    {"SummaryIndexScanConventional",
+     [](TestDb& db) -> OpPtr {
+       SummaryBTree::Options options;
+       options.pointer_mode = SummaryBTree::PointerMode::kConventional;
+       const SummaryBTree* index = db.Own(*SummaryBTree::Create(
+           &db.storage, &db.pool, db.mgr.get(), "ClassBird1", options));
+       return std::make_unique<IndexScanOp>(
+           std::make_unique<SummaryBTreeProbe>(
+               index, ClassifierProbe::Range("Disease", 0, 100)),
            true);
      }},
     {"KeywordIndexScan",
@@ -707,8 +724,10 @@ const PlanCase kPlanCases[] = {
        const SnippetKeywordIndex* index = db.Own(*SnippetKeywordIndex::Create(
            &db.storage, &db.pool, db.mgr.get(), "TextSummary1",
            SnippetKeywordIndex::Options{}));
-       return std::make_unique<KeywordIndexScanOp>(
-           index, std::vector<std::string>{"osprey"}, db.mgr.get(), true);
+       return std::make_unique<IndexScanOp>(
+           std::make_unique<KeywordProbe>(index,
+                                          std::vector<std::string>{"osprey"}),
+           true);
      }},
     {"BaselineIndexScan",
      [](TestDb& db) -> OpPtr {
@@ -716,9 +735,24 @@ const PlanCase kPlanCases[] = {
            db.Own(*BaselineClassifierIndex::Create(
                &db.catalog, db.mgr.get(), "ClassBird1",
                BaselineClassifierIndex::Options{}));
-       return std::make_unique<BaselineIndexScanOp>(
-           index, ClassifierProbe::Range("Disease", 0, 100), db.mgr.get(),
-           true, /*reconstruct_summaries=*/true);
+       return std::make_unique<IndexScanOp>(
+           std::make_unique<BaselineProbe>(
+               index, ClassifierProbe::Range("Disease", 0, 100),
+               /*reconstruct_summaries=*/true),
+           true);
+     }},
+    // The optimizer's form: propagation reads the de-normalized storage.
+    {"BaselineIndexScanDenormalized",
+     [](TestDb& db) -> OpPtr {
+       const BaselineClassifierIndex* index =
+           db.Own(*BaselineClassifierIndex::Create(
+               &db.catalog, db.mgr.get(), "ClassBird1",
+               BaselineClassifierIndex::Options{}));
+       return std::make_unique<IndexScanOp>(
+           std::make_unique<BaselineProbe>(
+               index, ClassifierProbe::Range("Disease", 0, 100),
+               /*reconstruct_summaries=*/false),
+           true);
      }},
 };
 

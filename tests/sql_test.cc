@@ -180,6 +180,26 @@ TEST_F(DatabaseTest, BasicSelect) {
   EXPECT_EQ(result->schema.column(0).name, "name");
 }
 
+// The server stamps a commit LSN on every reply not marked read_only, so
+// the mark must follow the parsed statement kind, not its spelling.
+TEST_F(DatabaseTest, ResultMarksReadStatements) {
+  for (const char* sql :
+       {"SELECT name FROM Birds", "  select name FROM Birds",
+        "EXPLAIN SELECT name FROM Birds", "ZOOM IN ON Birds TUPLE 1"}) {
+    auto result = db.Execute(sql);
+    ASSERT_TRUE(result.ok()) << sql << ": " << result.status().ToString();
+    EXPECT_TRUE(result->read_only) << sql;
+  }
+  for (const char* sql :
+       {"INSERT INTO Birds VALUES ('late', 'family0', 1.0)",
+        "ANNOTATE Birds TUPLE 1 WITH 'diseaseword note'", "ANALYZE Birds",
+        "BEGIN", "COMMIT"}) {
+    auto result = db.Execute(sql);
+    ASSERT_TRUE(result.ok()) << sql << ": " << result.status().ToString();
+    EXPECT_FALSE(result->read_only) << sql;
+  }
+}
+
 TEST_F(DatabaseTest, SelectStar) {
   auto result = db.Execute("SELECT * FROM Birds LIMIT 3");
   ASSERT_TRUE(result.ok());

@@ -127,9 +127,9 @@ TEST_F(StatisticsTest, IndexPlanDoesLessIoThanScanPlan) {
     return CollectRows(&select2).ValueOrDie().size();
   };
   auto run_index = [&] {
-    SummaryIndexScanOp scan(sbt.get(),
-                            ClassifierProbe::Equal("Disease", 6),
-                            big.mgr.get(), true);
+    IndexScanOp scan(std::make_unique<SummaryBTreeProbe>(
+                         sbt.get(), ClassifierProbe::Equal("Disease", 6)),
+                     true);
     return CollectRows(&scan).ValueOrDie().size();
   };
 

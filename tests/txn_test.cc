@@ -6,10 +6,12 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "sql/database.h"
@@ -235,6 +237,160 @@ TEST_F(TxnSqlTest, TransactionManagerStatsTrackLifecycle) {
   EXPECT_GT(mgr->txns_aborted(), aborted);
   EXPECT_GT(mgr->txns_begun(), begun);
 }
+
+// Snapshot equivalence of the index access paths: a query answered
+// through an index must equal the same query on the same handle with
+// every index path off (SummarySelect/Select over SeqScan), whatever the
+// snapshot. Crossed with two timings of a concurrent write: committed
+// after the reader's BEGIN, and still uncommitted while an autocommit
+// reader runs.
+enum class IndexKind { kDataBTree, kSummaryBTree, kBaseline, kKeyword };
+enum class WriteTiming { kCommittedAfterBegin, kUncommittedElsewhere };
+using IndexSnapshotParam = std::tuple<IndexKind, WriteTiming>;
+
+class IndexSnapshotTest
+    : public ::testing::TestWithParam<IndexSnapshotParam> {
+ protected:
+  void SetUp() override {
+    ASSERT_TRUE(db_.Execute("CREATE TABLE Birds (name TEXT, n INT)").ok());
+    std::string insert = "INSERT INTO Birds VALUES ";
+    for (int i = 0; i < 200; ++i) {
+      insert += (i > 0 ? ", ('b" : "('b") + std::to_string(i) + "', " +
+                std::to_string(i) + ")";
+    }
+    ASSERT_TRUE(db_.Execute(insert).ok());
+    ASSERT_TRUE(db_.DefineClassifier("C", {"Disease", "Other"},
+                                     {{"diseaseword infection", "Disease"},
+                                      {"otherword note", "Other"}})
+                    .ok());
+    SnippetSummarizer::Options snip;
+    snip.min_chars = 60;
+    snip.max_snippet_chars = 200;
+    ASSERT_TRUE(db_.DefineSnippet("S", snip).ok());
+    const std::string classifier_sql =
+        "SELECT name FROM Birds WHERE "
+        "$.getSummaryObject('C').getLabelValue('Disease') = 1";
+    const std::string disease_note =
+        "WITH 'diseaseword infection spotted on the wing'";
+    switch (std::get<0>(GetParam())) {
+      case IndexKind::kDataBTree:
+        Run("ALTER TABLE Birds ADD C");
+        Run("CREATE INDEX ON Birds (n)");
+        sql_ = "SELECT name FROM Birds WHERE n = 7";
+        write_ = "INSERT INTO Birds VALUES ('late', 7)";
+        scan_ = "IndexScan(";
+        break;
+      case IndexKind::kSummaryBTree:
+        Run("ALTER TABLE Birds ADD INDEXABLE C");
+        sql_ = classifier_sql;
+        write_ = "ANNOTATE Birds TUPLE 7 " + disease_note;
+        Run("ANNOTATE Birds TUPLE 3 " + disease_note);
+        scan_ = "SummaryIndexScan(";
+        break;
+      case IndexKind::kBaseline:
+        Run("ALTER TABLE Birds ADD C");
+        ASSERT_TRUE(db_.AddBaselineIndex("Birds", "C").ok());
+        sql_ = classifier_sql;
+        write_ = "ANNOTATE Birds TUPLE 7 " + disease_note;
+        Run("ANNOTATE Birds TUPLE 3 " + disease_note);
+        scan_ = "BaselineIndexScan(";
+        break;
+      case IndexKind::kKeyword: {
+        Run("ALTER TABLE Birds ADD INDEXABLE S");
+        const std::string osprey =
+            "WITH 'An osprey circled the lake twice, long enough to be "
+            "summarized into a snippet object.'";
+        sql_ = "SELECT name FROM Birds WHERE "
+               "$.getSummaryObject('S').containsUnion('osprey')";
+        write_ = "ANNOTATE Birds TUPLE 7 " + osprey;
+        Run("ANNOTATE Birds TUPLE 3 " + osprey);
+        scan_ = "KeywordIndexScan(";
+        break;
+      }
+    }
+    Run("ANALYZE Birds");
+  }
+
+  void Run(const std::string& sql, uint64_t* handle = nullptr) {
+    uint64_t none = 0;
+    auto result = db_.Execute(sql, handle != nullptr ? handle : &none);
+    ASSERT_TRUE(result.ok()) << sql << ": " << result.status().ToString();
+  }
+
+  /// Sorted rows (with their summaries) of sql_ through `handle`.
+  std::vector<std::string> Rows(uint64_t* handle) {
+    std::vector<std::string> out;
+    auto result = db_.Execute(sql_, handle);
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    if (!result.ok()) return out;
+    for (size_t r = 0; r < result->rows.size(); ++r) {
+      out.push_back(result->rows[r].ToString() + "|" +
+                    (r < result->summaries.size()
+                         ? result->summaries[r].ToString()
+                         : std::string()));
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+  }
+
+  /// The index plan's answer must equal the no-index oracle's on `handle`.
+  void ExpectIndexMatchesOracle(uint64_t* handle) {
+    auto plan = db_.Explain(sql_);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    ASSERT_NE(plan->find(scan_), std::string::npos) << *plan;
+    const std::vector<std::string> indexed = Rows(handle);
+    const OptimizerOptions saved = db_.optimizer_options();
+    db_.optimizer_options().use_summary_indexes = false;
+    db_.optimizer_options().use_baseline_indexes = false;
+    db_.optimizer_options().use_data_indexes = false;
+    const std::vector<std::string> oracle = Rows(handle);
+    db_.optimizer_options() = saved;
+    EXPECT_EQ(indexed, oracle) << *plan;
+    EXPECT_FALSE(oracle.empty());  // The row annotated in SetUp.
+  }
+
+  Database db_;
+  std::string sql_;
+  std::string write_;
+  std::string scan_;
+};
+
+std::string IndexSnapshotName(
+    const ::testing::TestParamInfo<IndexSnapshotParam>& info) {
+  static const char* kKinds[] = {"DataBTree", "SummaryBTree", "Baseline",
+                                 "Keyword"};
+  static const char* kTimings[] = {"CommittedAfterBegin",
+                                   "UncommittedElsewhere"};
+  return std::string(kKinds[static_cast<int>(std::get<0>(info.param))]) +
+         "_" + kTimings[static_cast<int>(std::get<1>(info.param))];
+}
+
+TEST_P(IndexSnapshotTest, IndexPlanMatchesNoIndexOracle) {
+  if (std::get<1>(GetParam()) == WriteTiming::kCommittedAfterBegin) {
+    uint64_t reader = 0;
+    Run("BEGIN", &reader);
+    Run(write_);  // Autocommit writer session.
+    ExpectIndexMatchesOracle(&reader);
+    Run("COMMIT", &reader);
+  } else {
+    uint64_t writer = 0;
+    Run("BEGIN", &writer);
+    Run(write_, &writer);
+    uint64_t reader = 0;  // Autocommit reader session.
+    ExpectIndexMatchesOracle(&reader);
+    Run("ROLLBACK", &writer);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllIndexKinds, IndexSnapshotTest,
+    ::testing::Combine(::testing::Values(IndexKind::kDataBTree,
+                                         IndexKind::kSummaryBTree,
+                                         IndexKind::kBaseline,
+                                         IndexKind::kKeyword),
+                       ::testing::Values(WriteTiming::kCommittedAfterBegin,
+                                         WriteTiming::kUncommittedElsewhere)),
+    IndexSnapshotName);
 
 TEST(TxnDurabilityTest, ExplicitTransactionSurvivesReopen) {
   const std::string dir = MakeTempDir("reopen");
