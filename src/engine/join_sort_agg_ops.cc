@@ -248,11 +248,16 @@ void SummaryJoinPredicate::CollectInstances(
 }
 
 SummaryJoinOp::SummaryJoinOp(OpPtr left, OpPtr right,
-                             SummaryJoinPredicate predicate)
+                             SummaryJoinPredicate predicate,
+                             ExprPtr data_predicate, std::string left_key,
+                             std::string right_key)
     : left_(std::move(left)),
       right_(std::move(right)),
       predicate_(std::move(predicate)),
-      left_input_(left_.get()) {
+      left_input_(left_.get()),
+      data_predicate_(std::move(data_predicate)),
+      left_key_(std::move(left_key)),
+      right_key_(std::move(right_key)) {
   schema_ = Schema::Concat(left_->schema(), right_->schema());
 }
 
@@ -280,8 +285,21 @@ Status SummaryJoinOp::OpenImpl() {
   left_arity_ = left_->schema().num_columns();
   INSIGHT_RETURN_NOT_OK(left_->Open());
   left_input_.Reset();
-  if (right_ != nullptr) {
-    INSIGHT_ASSIGN_OR_RETURN(right_rows_, CollectRows(right_.get()));
+  if (right_ == nullptr) return Status::OK();
+  INSIGHT_ASSIGN_OR_RETURN(right_rows_, CollectRows(right_.get()));
+  right_values_.assign(right_rows_.size(), std::nullopt);
+  buckets_.clear();
+  all_rows_.clear();
+  if (left_key_.empty()) {
+    for (size_t r = 0; r < right_rows_.size(); ++r) all_rows_.push_back(r);
+    return Status::OK();
+  }
+  INSIGHT_ASSIGN_OR_RETURN(left_key_idx_, left_->schema().IndexOf(left_key_));
+  INSIGHT_ASSIGN_OR_RETURN(right_key_idx_,
+                           right_->schema().IndexOf(right_key_));
+  for (size_t r = 0; r < right_rows_.size(); ++r) {
+    const Value& key = right_rows_[r].data.at(right_key_idx_);
+    if (!key.is_null()) buckets_[key.Hash()].push_back(r);
   }
   return Status::OK();
 }
@@ -291,13 +309,24 @@ Result<bool> SummaryJoinOp::NextBatchImpl(RowBatch* batch) {
     if (!left_valid_) {
       INSIGHT_ASSIGN_OR_RETURN(bool has, left_input_.NextRow(&current_left_));
       if (!has) break;
-      right_pos_ = 0;
       if (right_ == nullptr) {
         INSIGHT_RETURN_NOT_OK(ProbeIndex());
+      } else {
+        left_value_.reset();
+        candidate_pos_ = 0;
+        candidates_ = &all_rows_;
+        if (!left_key_.empty()) {
+          candidates_ = nullptr;
+          const Value& key = current_left_.data.at(left_key_idx_);
+          if (!key.is_null()) {
+            auto it = buckets_.find(key.Hash());
+            if (it != buckets_.end()) candidates_ = &it->second;
+          }
+        }
       }
     }
     if (right_ != nullptr) {
-      INSIGHT_ASSIGN_OR_RETURN(left_valid_, FillNestedLoop(batch));
+      INSIGHT_ASSIGN_OR_RETURN(left_valid_, FillCandidates(batch));
     } else {
       INSIGHT_ASSIGN_OR_RETURN(left_valid_, FillIndex(batch));
     }
@@ -305,38 +334,58 @@ Result<bool> SummaryJoinOp::NextBatchImpl(RowBatch* batch) {
   return !batch->empty();
 }
 
-Result<bool> SummaryJoinOp::FillNestedLoop(RowBatch* batch) {
-  while (right_pos_ < right_rows_.size() && !batch->full()) {
-    const Row& right = right_rows_[right_pos_++];
-    bool pass = false;
-    Row merged;
-    if (predicate_.merged_form()) {
-      merged.data = Tuple::Concat(current_left_.data, right.data);
-      INSIGHT_ASSIGN_OR_RETURN(
-          merged.summaries,
-          MergeSummaries(current_left_.summaries, right.summaries,
-                         left_arity_));
-      INSIGHT_ASSIGN_OR_RETURN(
-          pass, predicate_.merged_expr->EvalBool(merged, schema_));
-    } else {
-      INSIGHT_ASSIGN_OR_RETURN(
-          Value lv, predicate_.left_expr->Eval(current_left_, left_->schema()));
-      INSIGHT_ASSIGN_OR_RETURN(
-          Value rv, predicate_.right_expr->Eval(right, right_->schema()));
-      if (!lv.is_null() && !rv.is_null()) {
-        pass = EvalCompare(predicate_.op, lv.Compare(rv));
-      }
-      if (pass) {
-        merged.data = Tuple::Concat(current_left_.data, right.data);
-        INSIGHT_ASSIGN_OR_RETURN(
-            merged.summaries,
-            MergeSummaries(current_left_.summaries, right.summaries,
-                           left_arity_));
-      }
-    }
-    if (pass) batch->Push(std::move(merged));
+Result<bool> SummaryJoinOp::FillCandidates(RowBatch* batch) {
+  if (candidates_ == nullptr) return false;
+  while (candidate_pos_ < candidates_->size() && !batch->full()) {
+    Row out;
+    INSIGHT_ASSIGN_OR_RETURN(bool match,
+                             JoinPair((*candidates_)[candidate_pos_++], &out));
+    if (match) batch->Push(std::move(out));
   }
-  return right_pos_ < right_rows_.size();
+  return candidate_pos_ < candidates_->size();
+}
+
+Result<bool> SummaryJoinOp::JoinPair(size_t r, Row* out) {
+  const Row& right = right_rows_[r];
+  // Re-check the key (hash buckets may mix values).
+  if (!left_key_.empty() &&
+      current_left_.data.at(left_key_idx_)
+              .Compare(right.data.at(right_key_idx_)) != 0) {
+    return false;
+  }
+  // Data conjuncts before any summary work.
+  if (data_predicate_ != nullptr) {
+    out->data = Tuple::Concat(current_left_.data, right.data);
+    INSIGHT_ASSIGN_OR_RETURN(bool pass,
+                             data_predicate_->EvalBool(*out, schema_));
+    if (!pass) return false;
+  }
+  if (!predicate_.merged_form()) {
+    if (!left_value_.has_value()) {
+      INSIGHT_ASSIGN_OR_RETURN(
+          left_value_,
+          predicate_.left_expr->Eval(current_left_, left_->schema()));
+    }
+    std::optional<Value>& right_value = right_values_[r];
+    if (!right_value.has_value()) {
+      INSIGHT_ASSIGN_OR_RETURN(
+          right_value, predicate_.right_expr->Eval(right, right_->schema()));
+    }
+    if (left_value_->is_null() || right_value->is_null() ||
+        !EvalCompare(predicate_.op, left_value_->Compare(*right_value))) {
+      return false;
+    }
+  }
+  if (data_predicate_ == nullptr) {
+    out->data = Tuple::Concat(current_left_.data, right.data);
+  }
+  INSIGHT_ASSIGN_OR_RETURN(
+      out->summaries,
+      MergeSummaries(current_left_.summaries, right.summaries, left_arity_));
+  if (predicate_.merged_form()) {
+    return predicate_.merged_expr->EvalBool(*out, schema_);
+  }
+  return true;
 }
 
 Status SummaryJoinOp::ProbeIndex() {
@@ -374,14 +423,21 @@ Result<bool> SummaryJoinOp::FillIndex(RowBatch* batch) {
 void SummaryJoinOp::Close() {
   left_->Close();
   right_rows_.clear();
+  right_values_.clear();
+  buckets_.clear();
+  all_rows_.clear();
+  candidates_ = nullptr;
 }
 
 std::string SummaryJoinOp::Describe() const {
-  if (right_ != nullptr) {
-    return "SummaryJoin[J](" + predicate_.ToString() + ", nested-loop)";
+  if (right_ == nullptr) {
+    return "SummaryJoin[J](" + label_instance_ + "." + label_ +
+           " equality, index)";
   }
-  return "SummaryJoin[J](" + label_instance_ + "." + label_ +
-         " equality, index)";
+  std::string out = "SummaryJoin[J](" + predicate_.ToString();
+  if (data_predicate_ != nullptr) out += " AND " + data_predicate_->ToString();
+  if (left_key_.empty()) return out + ", nested-loop)";
+  return out + ", hash " + left_key_ + " = " + right_key_ + ")";
 }
 
 // ---------- SortOp ----------

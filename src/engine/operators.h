@@ -6,6 +6,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "engine/column_batch.h"
@@ -674,14 +675,25 @@ struct SummaryJoinPredicate {
 };
 
 /// Summary-based join J (Section 3.2): joins tuples on predicates over
-/// their summary sets. Strategies: block nested loop, or an index join
-/// probing the inner side's Summary-BTree when the predicate is an
-/// equality of classifier label values (the paper's two implementation
-/// choices).
+/// their summary sets. Two strategies: a candidate loop over the
+/// materialized right input, or an index join probing the inner side's
+/// Summary-BTree when the predicate is an equality of classifier label
+/// values (the paper's two implementation choices).
+///
+/// The candidate loop tests the pairs of each left row with its candidate
+/// right rows: every right row (nested loop), or, given a data equi-key,
+/// the right rows whose key equals the left row's (NULL keys never
+/// match). A candidate passes the data predicate on the concatenated data
+/// first; only then is the summary predicate tested. Each side's summary
+/// expression is evaluated at most once per row (the right side's on its
+/// first use), and summaries merge only for output rows.
 class SummaryJoinOp : public PhysicalOperator {
  public:
-  /// Nested-loop strategy.
-  SummaryJoinOp(OpPtr left, OpPtr right, SummaryJoinPredicate predicate);
+  /// Candidate-loop strategy. `data_predicate` (may be null) holds J's
+  /// data conjuncts beyond the equi-key; empty keys mean a nested loop.
+  SummaryJoinOp(OpPtr left, OpPtr right, SummaryJoinPredicate predicate,
+                ExprPtr data_predicate = nullptr, std::string left_key = "",
+                std::string right_key = "");
 
   /// Index strategy: `label_instance`/`label` describe the equality
   /// "left.inst.label = right.inst.label" probe against the right table's
@@ -700,23 +712,38 @@ class SummaryJoinOp : public PhysicalOperator {
   Result<bool> NextBatchImpl(RowBatch* batch) override;
 
  private:
-  /// Fills `batch` from the current left row's remaining pairs; false
-  /// once that row is exhausted (the caller then advances the left side).
-  Result<bool> FillNestedLoop(RowBatch* batch);
+  /// Fills `batch` from the current left row's remaining candidates;
+  /// false once that row is exhausted (the caller then advances the left
+  /// side).
+  Result<bool> FillCandidates(RowBatch* batch);
+  /// Tests the current left row against right row `r`; on a match fills
+  /// `*out` with the joined row.
+  Result<bool> JoinPair(size_t r, Row* out);
   Result<bool> FillIndex(RowBatch* batch);
   /// Index strategy: probes the right Summary-BTree for current_left_.
   Status ProbeIndex();
 
   OpPtr left_;
-  OpPtr right_;  // Nested-loop strategy only.
+  OpPtr right_;  // Candidate-loop strategy only.
   SummaryJoinPredicate predicate_;
   Schema schema_;
   ChildInput left_input_;
   Row current_left_;
   bool left_valid_ = false;
-  // Nested-loop state.
+  size_t left_arity_ = 0;
+  // Candidate-loop state.
+  ExprPtr data_predicate_;  // May be null.
+  std::string left_key_;    // Empty: nested loop.
+  std::string right_key_;
+  size_t left_key_idx_ = 0;
+  size_t right_key_idx_ = 0;
   std::vector<Row> right_rows_;
-  size_t right_pos_ = 0;
+  std::vector<size_t> all_rows_;  // Nested loop: 0 .. right_rows_.size().
+  std::unordered_map<size_t, std::vector<size_t>> buckets_;  // Key hash.
+  const std::vector<size_t>* candidates_ = nullptr;
+  size_t candidate_pos_ = 0;
+  std::optional<Value> left_value_;  // Summary value of current_left_.
+  std::vector<std::optional<Value>> right_values_;  // Memo per right row.
   // Index strategy state.
   std::unique_ptr<SummaryBTreeProbe> right_probe_;
   std::string label_instance_;
@@ -724,7 +751,6 @@ class SummaryJoinOp : public PhysicalOperator {
   bool propagate_right_ = true;
   std::vector<SummaryIndexHit> hits_;
   size_t hit_pos_ = 0;
-  size_t left_arity_ = 0;
 };
 
 // ---------- Sort ----------

@@ -77,7 +77,9 @@ std::string LogicalNode::Explain(int indent) const {
       out += "(" + Join(columns, ", ") + ")";
       break;
     case LogicalKind::kSummaryJoin:
-      out += "(" + summary_join_predicate.ToString() + ")";
+      out += "(" + summary_join_predicate.ToString();
+      if (predicate != nullptr) out += " AND " + predicate->ToString();
+      out += ")";
       break;
     case LogicalKind::kSort: {
       out += "(";
@@ -168,11 +170,13 @@ LogicalPtr LJoin(LogicalPtr left, LogicalPtr right, ExprPtr predicate) {
 }
 
 LogicalPtr LSummaryJoin(LogicalPtr left, LogicalPtr right,
-                        SummaryJoinPredicate predicate) {
+                        SummaryJoinPredicate predicate,
+                        ExprPtr data_predicate) {
   LogicalPtr node = MakeNode(LogicalKind::kSummaryJoin);
   node->children.push_back(std::move(left));
   node->children.push_back(std::move(right));
   node->summary_join_predicate = std::move(predicate);
+  node->predicate = std::move(data_predicate);
   return node;
 }
 

@@ -56,7 +56,8 @@ struct LogicalNode {
   // physical planning.
   // (reuses `predicate`)
 
-  // kSummaryJoin.
+  // kSummaryJoin: the summary predicate, plus the data conjuncts between
+  // the two sides in `predicate` (null when there are none).
   SummaryJoinPredicate summary_join_predicate;
 
   // kSort.
@@ -87,7 +88,8 @@ LogicalPtr LSummaryFilter(LogicalPtr child, ObjectPredicate predicate);
 LogicalPtr LProject(LogicalPtr child, std::vector<std::string> columns);
 LogicalPtr LJoin(LogicalPtr left, LogicalPtr right, ExprPtr predicate);
 LogicalPtr LSummaryJoin(LogicalPtr left, LogicalPtr right,
-                        SummaryJoinPredicate predicate);
+                        SummaryJoinPredicate predicate,
+                        ExprPtr data_predicate = nullptr);
 LogicalPtr LSort(LogicalPtr child, std::vector<SortKey> keys);
 LogicalPtr LAggregate(LogicalPtr child, std::vector<std::string> group_cols,
                       std::vector<AggregateSpec> aggregates);

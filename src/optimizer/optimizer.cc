@@ -344,7 +344,8 @@ Result<bool> Optimizer::PushDownOnce(LogicalNode* node) {
   // Rule 11: switch the order of a data join and a summary join.
   //   Join_c(T, J_p(R, S)) == J_p(Join_c(T, R), S)
   // (and the mirrored Join_c(J_p(R, S), T)), iff p's instances are not on
-  // T and c does not involve S's attributes.
+  // T and c does not involve S's attributes. J's data conjuncts (between
+  // R and S) move up with p.
   if (node->kind == LogicalKind::kJoin) {
     for (int sj_side = 0; sj_side < 2; ++sj_side) {
       LogicalNode* sjoin = node->children[static_cast<size_t>(sj_side)].get();
@@ -387,7 +388,8 @@ Result<bool> Optimizer::PushDownOnce(LogicalNode* node) {
                 std::move(node->predicate));
       LogicalPtr new_top =
           LSummaryJoin(std::move(inner_join), std::move(s_ptr),
-                       sjoin_ptr->summary_join_predicate.Clone());
+                       std::move(sjoin_ptr->summary_join_predicate),
+                       std::move(sjoin_ptr->predicate));
       *node = std::move(*new_top);
       return true;
     }
@@ -507,7 +509,8 @@ Result<PlanEstimate> Optimizer::Estimate(const LogicalNode& node) {
                                Estimate(*node.children[1]));
       PlanEstimate est;
       double denominator = 3.0;
-      if (node.kind == LogicalKind::kJoin) {
+      // Data equi-keys (a join's predicate; J's data conjuncts).
+      if (node.predicate != nullptr) {
         INSIGHT_ASSIGN_OR_RETURN(Schema ls, OutputSchema(*node.children[0]));
         INSIGHT_ASSIGN_OR_RETURN(Schema rs, OutputSchema(*node.children[1]));
         for (const ExprPtr& conjunct :
@@ -525,14 +528,20 @@ Result<PlanEstimate> Optimizer::Estimate(const LogicalNode& node) {
             for (const std::string& table : tables) {
               INSIGHT_ASSIGN_OR_RETURN(const RelationInfo* info,
                                        ctx_->Get(table));
-              if (info->table->schema().IndexOf(column).ok()) {
-                ndv = std::max(ndv, info->ColumnDistinctEst(policy, column));
+              const Schema& base = info->table->schema();
+              // Statistics are keyed by the base name ("id" for "v1.id").
+              auto idx = base.IndexOf(column);
+              if (idx.ok()) {
+                ndv = std::max(ndv, info->ColumnDistinctEst(
+                                        policy, base.column(*idx).name));
               }
             }
           }
           denominator = std::max(denominator, static_cast<double>(ndv));
         }
-      } else if (!node.summary_join_predicate.merged_form()) {
+      }
+      if (node.kind == LogicalKind::kSummaryJoin &&
+          !node.summary_join_predicate.merged_form()) {
         // Equality of classifier label counts: ndv of the count fields.
         std::vector<std::string> instances;
         node.summary_join_predicate.CollectInstances(&instances);
@@ -629,6 +638,37 @@ std::optional<ColumnPredicate> MatchColumnPredicate(const Expression* expr) {
   }
   if (col == nullptr || lit == nullptr) return std::nullopt;
   return ColumnPredicate{col->name(), op, lit->value()};
+}
+
+// A join predicate split into its first data equi-key and the conjuncts
+// left once every copy of that key is removed (null when none remain).
+struct EquiKeySplit {
+  std::optional<EquiJoinKeys> keys;
+  ExprPtr residual;
+};
+
+EquiKeySplit SplitEquiKey(const Expression* predicate, const Schema& left,
+                          const Schema& right) {
+  EquiKeySplit out;
+  if (predicate == nullptr) return out;
+  std::vector<ExprPtr> conjuncts = SplitConjuncts(predicate);
+  for (const ExprPtr& conjunct : conjuncts) {
+    out.keys = MatchEquiJoin(conjunct.get(), left, right);
+    if (out.keys.has_value()) break;
+  }
+  std::vector<ExprPtr> residual;
+  for (ExprPtr& conjunct : conjuncts) {
+    if (out.keys.has_value()) {
+      auto k = MatchEquiJoin(conjunct.get(), left, right);
+      if (k.has_value() && k->left_column == out.keys->left_column &&
+          k->right_column == out.keys->right_column) {
+        continue;
+      }
+    }
+    residual.push_back(std::move(conjunct));
+  }
+  out.residual = CombineConjuncts(std::move(residual));
+  return out;
 }
 
 ClassifierProbe ProbeFor(const IndexablePredicate& pred) {
@@ -1099,11 +1139,9 @@ Result<Optimizer::Lowered> Optimizer::LowerRecImpl(const LogicalNode& node) {
 
       // Index join candidacy: right side is a bare scan whose equi-join
       // column is indexed.
-      std::optional<EquiJoinKeys> keys;
-      for (const ExprPtr& conjunct : SplitConjuncts(node.predicate.get())) {
-        keys = MatchEquiJoin(conjunct.get(), left_schema, right_schema);
-        if (keys.has_value()) break;
-      }
+      EquiKeySplit split =
+          SplitEquiKey(node.predicate.get(), left_schema, right_schema);
+      const std::optional<EquiJoinKeys>& keys = split.keys;
       const LogicalNode* right_node = node.children[1].get();
       bool index_join = false;
       const RelationInfo* right_info = nullptr;
@@ -1145,39 +1183,21 @@ Result<Optimizer::Lowered> Optimizer::LowerRecImpl(const LogicalNode& node) {
       out.order = order;
       if (index_join) {
         // Residual conjuncts beyond the equi key become a post-select.
-        std::vector<ExprPtr> residual;
-        for (ExprPtr& conjunct : SplitConjuncts(node.predicate.get())) {
-          auto k = MatchEquiJoin(conjunct.get(), left_schema, right_schema);
-          if (k.has_value() && k->left_column == keys->left_column &&
-              k->right_column == keys->right_column) {
-            continue;
-          }
-          residual.push_back(std::move(conjunct));
-        }
         out.op = std::make_unique<IndexNLJoinOp>(
             std::move(left.op), right_info->table, keys->right_column,
             Col(keys->left_column), right_info->mgr,
             right_node->propagate_summaries);
-        if (!residual.empty()) {
-          out.op = std::make_unique<SelectOp>(
-              std::move(out.op), CombineConjuncts(std::move(residual)));
+        if (split.residual != nullptr) {
+          out.op = std::make_unique<SelectOp>(std::move(out.op),
+                                              std::move(split.residual));
         }
       } else if (options_.enable_hash_join && keys.has_value()) {
         // Hash join: build on the right, probe with the left (outer order
         // preserved, so the Rule 5 analysis above still applies).
         INSIGHT_ASSIGN_OR_RETURN(Lowered right, LowerRec(*node.children[1]));
-        std::vector<ExprPtr> residual;
-        for (ExprPtr& conjunct : SplitConjuncts(node.predicate.get())) {
-          auto k = MatchEquiJoin(conjunct.get(), left_schema, right_schema);
-          if (k.has_value() && k->left_column == keys->left_column &&
-              k->right_column == keys->right_column) {
-            continue;
-          }
-          residual.push_back(std::move(conjunct));
-        }
         out.op = std::make_unique<HashJoinOp>(
             std::move(left.op), std::move(right.op), keys->left_column,
-            keys->right_column, CombineConjuncts(std::move(residual)));
+            keys->right_column, std::move(split.residual));
       } else {
         INSIGHT_ASSIGN_OR_RETURN(Lowered right, LowerRec(*node.children[1]));
         out.op = std::make_unique<NestedLoopJoinOp>(std::move(left.op),
@@ -1235,11 +1255,32 @@ Result<Optimizer::Lowered> Optimizer::LowerRecImpl(const LogicalNode& node) {
         out.op = std::make_unique<SummaryJoinOp>(
             std::move(left.op), right_index, instance, label,
             right_node->propagate_summaries);
-      } else {
-        INSIGHT_ASSIGN_OR_RETURN(Lowered right, LowerRec(*node.children[1]));
-        out.op = std::make_unique<SummaryJoinOp>(
-            std::move(left.op), std::move(right.op), pred.Clone());
+        // The probe keys on the summary label only: J's data conjuncts
+        // filter its output.
+        if (node.predicate != nullptr) {
+          out.op = std::make_unique<SelectOp>(std::move(out.op),
+                                              node.predicate->Clone());
+        }
+        return out;
       }
+      // Candidate loop: with a data equi-key (and hash joins enabled) the
+      // candidates are the left key's hash bucket, else every right row.
+      EquiKeySplit split;
+      if (options_.enable_hash_join) {
+        INSIGHT_ASSIGN_OR_RETURN(Schema left_schema,
+                                 OutputSchema(*node.children[0]));
+        INSIGHT_ASSIGN_OR_RETURN(Schema right_schema,
+                                 OutputSchema(*node.children[1]));
+        split = SplitEquiKey(node.predicate.get(), left_schema, right_schema);
+      } else if (node.predicate != nullptr) {
+        split.residual = node.predicate->Clone();
+      }
+      INSIGHT_ASSIGN_OR_RETURN(Lowered right, LowerRec(*node.children[1]));
+      out.op = std::make_unique<SummaryJoinOp>(
+          std::move(left.op), std::move(right.op), pred.Clone(),
+          std::move(split.residual),
+          split.keys.has_value() ? split.keys->left_column : "",
+          split.keys.has_value() ? split.keys->right_column : "");
       return out;
     }
     case LogicalKind::kSort: {

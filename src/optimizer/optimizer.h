@@ -24,9 +24,10 @@ struct OptimizerOptions {
   bool use_baseline_indexes = true;
   /// Consider data-column B-Tree access paths and index joins.
   bool use_data_indexes = true;
-  /// Consider hash joins for data equi-joins (an implementation choice
-  /// beyond the paper's nested-loop/index pair; disable to reproduce the
-  /// paper's engine exactly).
+  /// Consider hash joins for data equi-joins, and hash candidates for a
+  /// summary join J on its data equi-key (an implementation choice beyond
+  /// the paper's nested-loop/index pair; disable to reproduce the paper's
+  /// engine exactly).
   bool enable_hash_join = true;
   /// Sort implementation for Sort/O operators.
   SortOp::Mode sort_mode = SortOp::Mode::kMemory;

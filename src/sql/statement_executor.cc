@@ -206,14 +206,11 @@ Result<LogicalPtr> StatementExecutor::BindSelect(
     conjuncts = std::move(remaining);
 
     if (summary_join.has_value()) {
+      // J carries the data conjuncts between its sides, so it can join on
+      // their equi-key instead of pairing every row.
       plan = LSummaryJoin(std::move(plan), std::move(right),
-                          std::move(*summary_join));
-      // Data conjuncts between the sides become a selection above the
-      // summary join (the rho(J(R,S)) shape; the optimizer may commute).
-      if (!data_join.empty()) {
-        plan = LSelect(std::move(plan),
-                       CombineConjuncts(std::move(data_join)));
-      }
+                          std::move(*summary_join),
+                          CombineConjuncts(std::move(data_join)));
     } else {
       ExprPtr join_pred = data_join.empty()
                               ? Lit(Value::Bool(true))

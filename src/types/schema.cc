@@ -10,6 +10,13 @@ std::string_view Unqualified(std::string_view name) {
   const size_t pos = name.rfind('.');
   return pos == std::string_view::npos ? name : name.substr(pos + 1);
 }
+
+// Qualifier of "r.a" -> "r"; empty for an unqualified name.
+std::string_view Qualifier(std::string_view name) {
+  const size_t pos = name.rfind('.');
+  return pos == std::string_view::npos ? std::string_view()
+                                        : name.substr(0, pos);
+}
 }  // namespace
 
 Result<size_t> Schema::IndexOf(const std::string& name) const {
@@ -17,10 +24,14 @@ Result<size_t> Schema::IndexOf(const std::string& name) const {
   for (size_t i = 0; i < columns_.size(); ++i) {
     if (EqualsIgnoreCase(columns_[i].name, name)) return i;
   }
-  // Pass 2: match the unqualified suffix; must be unambiguous.
+  // Pass 2: match the unqualified suffix; must be unambiguous. Two
+  // qualified names matched only in pass 1: "v2.id" never names "v1.id".
+  const std::string_view qualifier = Qualifier(name);
   size_t found = columns_.size();
   int matches = 0;
   for (size_t i = 0; i < columns_.size(); ++i) {
+    const std::string_view column_qualifier = Qualifier(columns_[i].name);
+    if (!qualifier.empty() && !column_qualifier.empty()) continue;
     if (EqualsIgnoreCase(Unqualified(columns_[i].name), Unqualified(name))) {
       found = i;
       ++matches;

@@ -293,6 +293,129 @@ TEST(SummaryJoinTest, IndexStrategyEqualityProbe) {
   EXPECT_EQ((*rows)[0].data.at(3).AsString(), "bird2");  // right bird oid 3
 }
 
+std::vector<std::string> Repr(const std::vector<Row>& rows);
+
+// Counts Eval calls on a wrapped expression, and fails on the row whose
+// OID is `fail_oid` (0: never).
+class CountingExpr : public Expression {
+ public:
+  CountingExpr(ExprPtr inner, std::shared_ptr<int> count, Oid fail_oid = 0)
+      : inner_(std::move(inner)), count_(std::move(count)),
+        fail_oid_(fail_oid) {}
+  Result<Value> Eval(const Row& row, const Schema& schema) const override {
+    ++*count_;
+    if (row.oid == fail_oid_) {
+      return Status::InvalidArgument("fails at " + std::to_string(row.oid));
+    }
+    return inner_->Eval(row, schema);
+  }
+  std::string ToString() const override { return inner_->ToString(); }
+  ExprPtr Clone() const override {
+    return std::make_unique<CountingExpr>(inner_->Clone(), count_,
+                                          fail_oid_);
+  }
+  void CollectInstances(std::vector<std::string>* out) const override {
+    inner_->CollectInstances(out);
+  }
+
+ private:
+  ExprPtr inner_;
+  std::shared_ptr<int> count_;
+  Oid fail_oid_;
+};
+
+SummaryJoinPredicate CountedDiseasePredicate(CompareOp op,
+                                             std::shared_ptr<int> left,
+                                             std::shared_ptr<int> right,
+                                             Oid left_fail = 0,
+                                             Oid right_fail = 0) {
+  SummaryJoinPredicate pred;
+  pred.left_expr = std::make_unique<CountingExpr>(
+      LabelValue("ClassBird1", "Disease"), std::move(left), left_fail);
+  pred.op = op;
+  pred.right_expr = std::make_unique<CountingExpr>(
+      LabelValue("ClassBird1", "Disease"), std::move(right), right_fail);
+  return pred;
+}
+
+// Without a data key J still evaluates each side's summary expression once
+// per row (L + R evaluations), not once per pair.
+TEST(SummaryJoinTest, NestedLoopEvaluatesEachSideOncePerRow) {
+  TestDb db(20);
+  db.Annotate(1, "disease", 2);
+  db.Annotate(5, "behavior", 1);  // Object with Disease 0.
+  db.Annotate(9, "disease", 4);
+  db.Annotate(14, "other", 3);  // Object with Disease 0.
+  auto left = std::make_shared<int>(0);
+  auto right = std::make_shared<int>(0);
+  SummaryJoinOp join(db.Scan(true), db.Scan(true),
+                     CountedDiseasePredicate(CompareOp::kNe, left, right));
+  EXPECT_NE(join.Describe().find(", nested-loop)"), std::string::npos);
+  auto rows = CollectRows(&join);
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  // Disease values {2, 0, 4, 0}: 16 ordered pairs, 6 of them equal.
+  EXPECT_EQ(rows->size(), 10u);
+  EXPECT_EQ(*left, 20);
+  EXPECT_EQ(*right, 20);
+  // A rerun starts from fresh memos.
+  ASSERT_TRUE(CollectRows(&join).ok());
+  EXPECT_EQ(*left, 40);
+  EXPECT_EQ(*right, 40);
+}
+
+// The first failing evaluation surfaces at the same pair as a per-pair
+// loop: left row 1 meets right row 4 before left row 2 is reached.
+TEST(SummaryJoinTest, NestedLoopFirstErrorOrderIsKept) {
+  TestDb db(6);
+  db.Annotate(1, "disease", 1);
+  auto left = std::make_shared<int>(0);
+  auto right = std::make_shared<int>(0);
+  SummaryJoinOp join(
+      db.Scan(true), db.Scan(true),
+      CountedDiseasePredicate(CompareOp::kNe, left, right, /*left_fail=*/2,
+                              /*right_fail=*/4));
+  auto rows = CollectRows(&join);
+  ASSERT_FALSE(rows.ok());
+  EXPECT_EQ(rows.status().message(), "fails at 4");
+}
+
+// With a data equi-key J tests only the left key's bucket, and answers as
+// the nested loop filtered on the same key does.
+TEST(SummaryJoinTest, HashFormMatchesKeyedNestedLoop) {
+  TestDb db(20);
+  db.Annotate(1, "disease", 2);
+  db.Annotate(5, "disease", 1);
+  db.Annotate(9, "disease", 4);
+  db.Annotate(13, "behavior", 1);
+  db.Annotate(14, "other", 3);
+  auto renamed = [&](const char* alias) {
+    return std::make_unique<RenameOp>(db.Scan(true), alias);
+  };
+  auto counts = std::make_shared<int>(0);
+  SummaryJoinOp hash(renamed("l"), renamed("r"),
+                     CountedDiseasePredicate(CompareOp::kGe, counts, counts),
+                     Cmp(Col("l.weight"), CompareOp::kLt,
+                         Lit(Value::Double(5.0))),
+                     "l.family", "r.family");
+  EXPECT_NE(hash.Describe().find(
+                " AND l.weight < 5.000000, hash l.family = r.family)"),
+            std::string::npos)
+      << hash.Describe();
+  SummaryJoinOp nested(
+      renamed("l"), renamed("r"),
+      CountedDiseasePredicate(CompareOp::kGe, std::make_shared<int>(0),
+                              std::make_shared<int>(0)),
+      And(Cmp(Col("l.family"), CompareOp::kEq, Col("r.family")),
+          Cmp(Col("l.weight"), CompareOp::kLt, Lit(Value::Double(5.0)))));
+  auto hashed = CollectRows(&hash);
+  ASSERT_TRUE(hashed.ok()) << hashed.status().ToString();
+  auto looped = CollectRows(&nested);
+  ASSERT_TRUE(looped.ok()) << looped.status().ToString();
+  EXPECT_EQ(Repr(*hashed), Repr(*looped));
+  EXPECT_FALSE(hashed->empty());
+  EXPECT_LE(*counts, 40);
+}
+
 TEST(SortTest, DataSortAscendingDescending) {
   TestDb db(10);
   std::vector<SortKey> keys;
@@ -679,6 +802,19 @@ const PlanCase kPlanCases[] = {
        pred.right_expr = LabelValue("ClassBird1", "Disease");
        return std::make_unique<SummaryJoinOp>(db.Scan(true), db.Scan(true),
                                               std::move(pred));
+     }},
+    // Hash candidates on the data key (five rows per family), with a data
+    // conjunct checked before the summary predicate.
+    {"SummaryJoinHash",
+     [](TestDb& db) -> OpPtr {
+       SummaryJoinPredicate pred;
+       pred.left_expr = LabelValue("ClassBird1", "Disease");
+       pred.op = CompareOp::kGe;
+       pred.right_expr = LabelValue("ClassBird1", "Disease");
+       return std::make_unique<SummaryJoinOp>(
+           db.Scan(true), db.Scan(true), std::move(pred),
+           Cmp(Col("weight"), CompareOp::kLt, Lit(Value::Double(5.0))),
+           "family", "family");
      }},
     {"SummaryJoinIndex",
      [](TestDb& db) -> OpPtr {

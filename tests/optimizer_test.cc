@@ -334,6 +334,31 @@ TEST_F(OptimizerTest, EstimateJoinUsesDistinctCounts) {
   EXPECT_NEAR(est->rows, 90.0, 20.0);
 }
 
+// Aliased equi-keys find their base column's statistics, and J applies
+// its data equi-key like a data join does.
+TEST_F(OptimizerTest, EstimateAliasedAndSummaryJoinsUseDataKeyDistincts) {
+  Optimizer opt(ctx.get(), OptimizerOptions{});
+  auto key = [] {
+    return Cmp(Col("v1.name"), CompareOp::kEq, Col("s.bird_name"));
+  };
+  LogicalPtr join = LJoin(LScanAs("Birds", "v1"),
+                          LScanAs("Synonyms", "s", false), key());
+  auto est = opt.Estimate(*join);
+  ASSERT_TRUE(est.ok()) << est.status().ToString();
+  EXPECT_NEAR(est->rows, 90.0, 20.0);  // 30 x 90 / ndv(30).
+
+  SummaryJoinPredicate pred;
+  pred.left_expr = LabelValue("ClassBird1", "Disease");
+  pred.op = CompareOp::kNe;
+  pred.right_expr = LabelValue("ClassBird1", "Disease");
+  LogicalPtr sjoin = LSummaryJoin(LScanAs("Birds", "v1"),
+                                  LScanAs("Synonyms", "s", false),
+                                  std::move(pred), key());
+  auto sest = opt.Estimate(*sjoin);
+  ASSERT_TRUE(sest.ok()) << sest.status().ToString();
+  EXPECT_NEAR(sest->rows, 90.0, 20.0);
+}
+
 TEST_F(OptimizerTest, AggregationAndDistinctLowering) {
   std::vector<AggregateSpec> aggs;
   aggs.push_back(AggregateSpec{AggregateSpec::Kind::kCount, nullptr, "cnt"});

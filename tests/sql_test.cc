@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
 #include <sstream>
 
 #include "obs/metrics.h"
@@ -380,13 +382,250 @@ TEST_F(JoinAnalyzeTest, NestedLoopJoinChildrenReportTrueRowCounts) {
       "NestedLoopJoin(");
 }
 
+// No data equi-key: J pairs every row (its nested-loop form).
 TEST_F(JoinAnalyzeTest, SummaryJoinChildrenReportTrueRowCounts) {
+  ExpectChildrenCounted(
+      "SELECT v1.name FROM Birds v1, BirdsV2 v2 "
+      "WHERE v1.name <> v2.name AND "
+      "v1.$.getSummaryObject('ClassBird1').getLabelValue('Disease') <> "
+      "v2.$.getSummaryObject('ClassBird1').getLabelValue('Disease')",
+      ", nested-loop)");
+}
+
+// The Q2 shape: J joins on its data equi-key (its hash form).
+TEST_F(JoinAnalyzeTest, SummaryJoinHashChildrenReportTrueRowCounts) {
   ExpectChildrenCounted(
       "SELECT v1.name FROM Birds v1, BirdsV2 v2 "
       "WHERE v1.name = v2.name AND "
       "v1.$.getSummaryObject('ClassBird1').getLabelValue('Disease') <> "
       "v2.$.getSummaryObject('ClassBird1').getLabelValue('Disease')",
-      ", nested-loop)");
+      ", hash v1.name = v2.name)");
+}
+
+// Fig. 16 Q2-shaped summary joins against a client-side oracle over seq
+// scans with summaries (the basic-InsightNotes rule: NULL on either side
+// never differs). The corpus has duplicate join keys, NULL keys, and
+// tuples with no ClassBird1 object (never annotated) next to tuples whose
+// object has no Disease annotations (count 0).
+class SummaryJoinOracleTest : public DatabaseTest {
+ protected:
+  static constexpr int kV1Rows = 30;
+  static constexpr int kV2Rows = 25;
+  static constexpr int kCRows = 11;
+
+  SummaryJoinOracleTest() {
+    for (const char* table : {"V1", "V2"}) {
+      db.Execute(std::string("CREATE TABLE ") + table +
+                 " (id INT, name TEXT)")
+          .ValueOrDie();
+    }
+    db.Execute("ALTER TABLE V1 ADD ClassBird1").ValueOrDie();
+    // V2's Summary-BTree enables J's index strategy for label equality.
+    db.Execute("ALTER TABLE V2 ADD INDEXABLE ClassBird1").ValueOrDie();
+    db.Execute("CREATE TABLE C (cid INT, note TEXT)").ValueOrDie();
+    for (int i = 0; i < kV1Rows; ++i) {
+      Insert("V1", i % 13 == 12 ? "NULL" : std::to_string(i % 11), i);
+      const int oid = i + 1;
+      if (oid % 5 != 0) AnnotateIn("V1", oid, "disease", oid % 4);
+      if (oid % 7 == 3) AnnotateIn("V1", oid, "behavior", 1);
+    }
+    for (int i = 0; i < kV2Rows; ++i) {
+      Insert("V2", i % 9 == 8 ? "NULL" : std::to_string((i * 7) % 13), i);
+      const int oid = i + 1;
+      if (oid % 6 != 0) AnnotateIn("V2", oid, "disease", oid % 3);
+      if (oid % 4 == 1) AnnotateIn("V2", oid, "behavior", 1);
+    }
+    for (int i = 0; i < kCRows; ++i) {
+      Insert("C", i == kCRows - 1 ? "NULL" : std::to_string(i % 7), i);
+    }
+  }
+
+  void Insert(const std::string& table, const std::string& id, int i) {
+    db.Execute("INSERT INTO " + table + " VALUES (" + id + ", 'n" +
+               std::to_string(i) + "')")
+        .ValueOrDie();
+  }
+
+  void AnnotateIn(const std::string& table, int oid, const std::string& kind,
+                  int n) {
+    for (int i = 0; i < n; ++i) {
+      db.Execute("ANNOTATE " + table + " TUPLE " + std::to_string(oid) +
+                 " WITH '" + kind + "word note " + std::to_string(i) + "'")
+          .ValueOrDie();
+    }
+  }
+
+  // (id, Disease count) of every row; nullopt for NULL.
+  struct Side {
+    std::optional<int64_t> id;
+    std::optional<int64_t> disease;
+  };
+  std::vector<Side> ScanSide(const std::string& table) {
+    SeqScanOp scan(*db.GetTable(table), *db.GetManager(table), true);
+    std::vector<Side> out;
+    for (const Row& row : CollectRows(&scan).ValueOrDie()) {
+      Side side;
+      if (!row.data.at(0).is_null()) side.id = row.data.at(0).AsInt();
+      const SummaryObject* obj = row.summaries.GetSummaryObject("ClassBird1");
+      if (obj != nullptr) {
+        auto value = obj->GetLabelValue("Disease");
+        if (value.ok()) side.disease = *value;
+      }
+      out.push_back(side);
+    }
+    return out;
+  }
+
+  // v1.id of every (v1, v2[, c]) triple passing the Q2 predicate (and
+  // v1.id = c.cid when `with_c`), sorted; `equal` tests = instead of <>.
+  std::vector<int64_t> Oracle(bool with_c, bool equal = false) {
+    std::vector<int64_t> c_ids;
+    SeqScanOp c_scan(*db.GetTable("C"), nullptr, false);
+    for (const Row& row : CollectRows(&c_scan).ValueOrDie()) {
+      if (!row.data.at(0).is_null()) c_ids.push_back(row.data.at(0).AsInt());
+    }
+    const std::vector<Side> v2 = ScanSide("V2");
+    std::vector<int64_t> out;
+    for (const Side& l : ScanSide("V1")) {
+      for (const Side& r : v2) {
+        if (!l.id || !r.id || *l.id != *r.id) continue;
+        if (!l.disease || !r.disease) continue;
+        if ((*l.disease == *r.disease) != equal) continue;
+        const size_t copies =
+            with_c ? std::count(c_ids.begin(), c_ids.end(), *l.id) : 1;
+        out.insert(out.end(), copies, *l.id);
+      }
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+  }
+
+  std::vector<int64_t> Run(const std::string& sql) {
+    auto result = db.Execute(sql);
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    std::vector<int64_t> out;
+    if (!result.ok()) return out;
+    for (const Tuple& row : result->rows) out.push_back(row.at(0).AsInt());
+    std::sort(out.begin(), out.end());
+    return out;
+  }
+
+  static constexpr const char* kDiffers =
+      "v1.$.getSummaryObject('ClassBird1').getLabelValue('Disease') <> "
+      "v2.$.getSummaryObject('ClassBird1').getLabelValue('Disease')";
+  const std::string q2_ = std::string(
+      "SELECT v1.id FROM V1 v1, V2 v2 WHERE v1.id = v2.id AND ") + kDiffers;
+  const std::string q2_with_c_ =
+      std::string("SELECT v1.id FROM V1 v1, V2 v2, C c WHERE "
+                  "v1.id = v2.id AND ") +
+      kDiffers + " AND v1.id = c.cid";
+};
+
+TEST_F(SummaryJoinOracleTest, TwoTableJoinMatchesOracle) {
+  const std::vector<int64_t> expected = Oracle(false);
+  ASSERT_FALSE(expected.empty());
+  EXPECT_EQ(Run(q2_), expected);
+  db.context()->exec_context()->set_batch_size(1);
+  EXPECT_EQ(Run(q2_), expected);
+}
+
+TEST_F(SummaryJoinOracleTest, ThreeTableRule11JoinMatchesOracle) {
+  const std::vector<int64_t> expected = Oracle(true);
+  ASSERT_FALSE(expected.empty());
+  // Rule 11 moves the data join with C below J; J's own data conjunct
+  // must move up with it.
+  auto plan = db.Explain(q2_with_c_);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  EXPECT_NE(plan->find("Physical plan:\nSummaryJoin[J]("), std::string::npos)
+      << *plan;
+  EXPECT_NE(plan->find("  HashJoin(v1.id = c.cid)"), std::string::npos)
+      << *plan;
+  for (bool rewrite : {true, false}) {
+    db.optimizer_options().enable_rewrite_rules = rewrite;
+    db.context()->exec_context()->set_batch_size(RowBatch::kDefaultCapacity);
+    EXPECT_EQ(Run(q2_with_c_), expected) << "rewrite=" << rewrite;
+    db.context()->exec_context()->set_batch_size(1);
+    EXPECT_EQ(Run(q2_with_c_), expected) << "rewrite=" << rewrite;
+  }
+}
+
+// Without hash joins J loops over every right row, still filtering on the
+// data conjunct before the summary predicate.
+TEST_F(SummaryJoinOracleTest, NestedLoopFormMatchesOracle) {
+  db.optimizer_options().enable_hash_join = false;
+  auto plan = db.Explain(q2_);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  EXPECT_NE(plan->find(", nested-loop)"), std::string::npos) << *plan;
+  EXPECT_EQ(Run(q2_), Oracle(false));
+}
+
+// EXPLAIN of Q2: J in its hash form directly above the two Renames, with
+// no selection above it.
+TEST_F(SummaryJoinOracleTest, ExplainShowsHashFormWithoutSelect) {
+  auto plan = db.Explain(q2_);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  EXPECT_NE(plan->find(", hash v1.id = v2.id)"), std::string::npos) << *plan;
+  EXPECT_EQ(plan->find("Select[\xcf\x83]"), std::string::npos) << *plan;
+  std::istringstream lines(plan->substr(plan->find("Physical plan:\n")));
+  std::vector<std::string> physical;
+  for (std::string line; std::getline(lines, line);) physical.push_back(line);
+  ASSERT_GE(physical.size(), 6u) << *plan;
+  EXPECT_EQ(physical[1].rfind("SummaryJoin[J](", 0), 0u) << *plan;
+  EXPECT_EQ(physical[2], "  Rename(v1)") << *plan;
+  EXPECT_EQ(physical[4], "  Rename(v2)") << *plan;
+}
+
+// J's index strategy (label equality, Summary-BTree on a bare right
+// scan) keys on the summary only; its data conjunct filters the output.
+TEST_F(SummaryJoinOracleTest, IndexFormFiltersOnDataConjunct) {
+  const std::string sql =
+      "SELECT v1.id FROM V1 v1, V2 WHERE v1.id = V2.id AND "
+      "v1.$.getSummaryObject('ClassBird1').getLabelValue('Disease') = "
+      "V2.$.getSummaryObject('ClassBird1').getLabelValue('Disease')";
+  auto plan = db.Explain(sql);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  EXPECT_NE(plan->find("Select[\xcf\x83](v1.id = V2.id)\n"
+                       "  SummaryJoin[J](ClassBird1.Disease equality, "
+                       "index)"),
+            std::string::npos)
+      << *plan;
+  const std::vector<int64_t> expected = Oracle(false, /*equal=*/true);
+  ASSERT_FALSE(expected.empty());
+  EXPECT_EQ(Run(sql), expected);
+}
+
+TEST_F(DatabaseTest, QualifiedColumnOfAnotherTableIsAnError) {
+  db.Execute("CREATE TABLE A (id INT, name TEXT)").ValueOrDie();
+  db.Execute("CREATE TABLE B (id INT)").ValueOrDie();
+  for (int i = 0; i < 5; ++i) {
+    db.Execute("INSERT INTO A VALUES (" + std::to_string(i) + ", 'n" +
+               std::to_string(i) + "')")
+        .ValueOrDie();
+    db.Execute("INSERT INTO B VALUES (" + std::to_string(i) + ")")
+        .ValueOrDie();
+  }
+  // B has no name column; a.name must not answer for b.name.
+  EXPECT_FALSE(
+      db.Execute("SELECT a.id FROM A a, B b WHERE b.name = 'n1'").ok());
+  auto ok = db.Execute("SELECT a.id FROM A a, B b WHERE a.name = 'n1'");
+  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+  EXPECT_EQ(ok->rows.size(), 5u);
+}
+
+TEST_F(DatabaseTest, AliasedSelfJoinLowersToHashJoin) {
+  db.Execute("CREATE TABLE A (id INT)").ValueOrDie();
+  for (int i = 0; i < 20; ++i) {
+    db.Execute("INSERT INTO A VALUES (" + std::to_string(i) + ")")
+        .ValueOrDie();
+  }
+  const std::string sql = "SELECT x.id FROM A x, A y WHERE x.id = y.id";
+  auto plan = db.Explain(sql);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  EXPECT_NE(plan->find("HashJoin(x.id = y.id)"), std::string::npos) << *plan;
+  EXPECT_EQ(plan->find("NestedLoopJoin("), std::string::npos) << *plan;
+  auto result = db.Execute(sql);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->rows.size(), 20u);
 }
 
 TEST_F(DatabaseTest, ZoomInCommand) {

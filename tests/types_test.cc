@@ -73,6 +73,17 @@ TEST(SchemaTest, AmbiguousUnqualifiedName) {
   EXPECT_EQ(*s.IndexOf("r.a"), 0u);
 }
 
+// A qualified name never resolves to a column with another qualifier: an
+// alias's column must not stand in for a different alias's one.
+TEST(SchemaTest, QualifiedNameNeedsItsOwnQualifier) {
+  Schema aliased({{"v1.id", ValueType::kInt64}});
+  EXPECT_TRUE(aliased.IndexOf("v2.id").status().IsNotFound());
+  EXPECT_EQ(*aliased.IndexOf("id"), 0u);
+  EXPECT_EQ(*aliased.IndexOf("V1.ID"), 0u);
+  Schema bare({{"id", ValueType::kInt64}});
+  EXPECT_EQ(*bare.IndexOf("Birds.id"), 0u);
+}
+
 TEST(SchemaTest, AddColumnRejectsDuplicates) {
   Schema s;
   EXPECT_TRUE(s.AddColumn({"x", ValueType::kInt64}).ok());
